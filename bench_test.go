@@ -13,6 +13,7 @@ package dynsens_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dynsens/internal/broadcast"
@@ -373,10 +374,14 @@ func BenchmarkAblationSlotCondition(b *testing.B) {
 
 // BenchmarkConstruction times pure self-construction (node-move-in for all
 // nodes plus slot assignment) at each size — the substrate cost behind
-// every figure.
+// every figure — and at 2000 and 10⁴ nodes, where a per-insert cost that
+// grows with n shows up. The 10⁴ case is skipped under -short.
 func BenchmarkConstruction(b *testing.B) {
-	for _, n := range paperSizes {
+	for _, n := range slices.Concat(paperSizes, []int{2000, 10000}) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if n >= 10000 && testing.Short() {
+				b.Skip("n=10⁴ skipped under -short")
+			}
 			d, err := workload.IncrementalConnected(workload.PaperConfig(1, 10, n))
 			if err != nil {
 				b.Fatal(err)

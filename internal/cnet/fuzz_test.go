@@ -11,7 +11,9 @@ import (
 // FuzzChurn drives a CNet (with live slot assignment) through an arbitrary
 // op sequence decoded from fuzz bytes: each byte either joins a new node
 // next to an existing anchor or removes a safe node. Every invariant is
-// re-checked after every operation.
+// re-checked after every operation, and the tree's maintained Depth,
+// DepthMap and Height are compared with a BFS recomputation from the root
+// after every MoveIn and MoveOut.
 func FuzzChurn(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 4, 0x81, 5})
 	f.Add([]byte{10, 20, 30, 0x90, 0x91, 40, 50, 0x92, 0x93, 0x94})
@@ -38,6 +40,7 @@ func FuzzChurn(f *testing.F) {
 				if _, _, err := c.MoveIn(next, nbrs); err != nil {
 					t.Fatalf("join %d: %v", next, err)
 				}
+				checkDepthsBFS(t, c.Tree())
 				if err := a.OnJoin(next); err != nil {
 					t.Fatalf("slots after join %d: %v", next, err)
 				}
@@ -60,6 +63,7 @@ func FuzzChurn(f *testing.F) {
 					if err != nil {
 						t.Fatalf("leave %d: %v", cand, err)
 					}
+					checkDepthsBFS(t, c.Tree())
 					if err := a.OnMoveOut(rec); err != nil {
 						t.Fatalf("slots after leave %d: %v", cand, err)
 					}
@@ -81,4 +85,32 @@ func FuzzChurn(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkDepthsBFS recomputes every depth by BFS from the root over Children
+// and compares it with the tree's maintained Depth, DepthMap and Height.
+func checkDepthsBFS(t *testing.T, tr *graph.Tree) {
+	t.Helper()
+	depth := map[graph.NodeID]int{tr.Root(): 0}
+	height := 0
+	for queue := []graph.NodeID{tr.Root()}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for _, ch := range tr.Children(u) {
+			depth[ch] = depth[u] + 1
+			height = max(height, depth[ch])
+			queue = append(queue, ch)
+		}
+	}
+	dm := tr.DepthMap()
+	if len(dm) != len(depth) || tr.Size() != len(depth) {
+		t.Fatalf("DepthMap has %d entries, Size %d, BFS reaches %d nodes", len(dm), tr.Size(), len(depth))
+	}
+	for id, d := range depth {
+		if dm[id] != d || tr.Depth(id) != d {
+			t.Fatalf("node %d: DepthMap %d, Depth %d, BFS %d", id, dm[id], tr.Depth(id), d)
+		}
+	}
+	if tr.Height() != height {
+		t.Fatalf("Height %d, BFS height %d", tr.Height(), height)
+	}
 }

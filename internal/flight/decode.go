@@ -250,23 +250,23 @@ func decodeEvent(d *decoder) (radio.Event, error) {
 		return ev, err
 	}
 	ev.Channel = radio.Channel(ch)
-	ints := []*int{
-		&ev.Msg.Seq, nil, nil, nil, &ev.Msg.Slot, &ev.Msg.Depth,
-		&ev.Msg.MaxSlot, &ev.Msg.Height, &ev.Msg.Group,
+	m := &ev.Msg
+	seq, err := d.varint()
+	if err != nil {
+		return ev, err
 	}
-	idFields := map[int]*graph.NodeID{1: &ev.Msg.Src, 2: &ev.Msg.From, 3: &ev.Msg.Dst}
-	for i := 0; i < len(ints); i++ {
-		if p := idFields[i]; p != nil {
-			if *p, err = d.id(); err != nil {
-				return ev, err
-			}
-			continue
+	m.Seq = int(seq)
+	for _, p := range [...]*graph.NodeID{&m.Src, &m.From, &m.Dst} {
+		if *p, err = d.id(); err != nil {
+			return ev, err
 		}
+	}
+	for _, p := range [...]*int{&m.Slot, &m.Depth, &m.MaxSlot, &m.Height, &m.Group} {
 		v, err := d.varint()
 		if err != nil {
 			return ev, err
 		}
-		*ints[i] = int(v)
+		*p = int(v)
 	}
 	if ev.Msg.Value, err = d.varint(); err != nil {
 		return ev, err
@@ -291,6 +291,38 @@ func decodeFooter(d *decoder) (Footer, error) {
 	return f, nil
 }
 
+// countRecords counts the records of each type by walking only the
+// framing (type byte, payload length), so DecodeBytes can size its slices
+// once. It stops at the first malformed frame; the decoding pass that
+// follows reports the error.
+func countRecords(b []byte) (n [recFooter + 1]int) {
+	d := &decoder{b: b}
+	for d.remaining() > 0 {
+		typ, err := d.byteField()
+		if err != nil {
+			return n
+		}
+		plen, err := d.uvarint()
+		if err != nil || plen > uint64(d.remaining()) {
+			return n
+		}
+		d.off += int(plen)
+		if int(typ) < len(n) {
+			n[typ]++
+		}
+	}
+	return n
+}
+
+// presize returns an empty slice with room for n elements, or nil when n
+// is 0 so that absent record types decode as before.
+func presize[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
 // Decode reads a full recording from r. It is strict about framing — the
 // magic must match, the header must be the first record, the footer (when
 // present) must be the last — but semantic validation is the verifier's
@@ -309,7 +341,14 @@ func DecodeBytes(raw []byte) (*Recording, error) {
 		return nil, fmt.Errorf("flight: bad magic (want %q)", magic[:])
 	}
 	d := &decoder{b: raw, off: len(magic)}
-	rec := &Recording{}
+	n := countRecords(raw[len(magic):])
+	rec := &Recording{
+		Nodes:  presize[NodeInfo](n[recNode]),
+		Edges:  presize[Edge](n[recEdge]),
+		Deltas: presize[Delta](n[recDelta]),
+		Phases: presize[Phase](n[recPhase]),
+		Events: presize[radio.Event](n[recEvent]),
+	}
 	sawHeader := false
 	for d.remaining() > 0 {
 		if rec.Footer != nil {

@@ -8,6 +8,7 @@ import (
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/flight"
+	"dynsens/internal/graph"
 	"dynsens/internal/netio"
 	"dynsens/internal/radio"
 	"dynsens/internal/workload"
@@ -412,6 +413,52 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		}
 		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestVerifierDedupsDuplicateEdges: a recording that repeats an edge
+// record (in both orientations) must not inflate the degrees the
+// slot-bounds check recomputes. The true D and d are both 2, so Lemma 3
+// caps every slot at 4; counting each copy of 0-1 would raise D and d to
+// 4 and 3 and let a slot of 5 pass.
+func TestVerifierDedupsDuplicateEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		bslot, lslot int
+		want         string
+	}{
+		{"b-slot", 5, 1, "(d=2)"},
+		{"l-slot", 1, 5, "(D=2)"},
+	} {
+		var buf bytes.Buffer
+		fw := flight.NewWriter(&buf)
+		fw.WriteHeader(flight.Header{Seed: 1, N: 4, Side: 1, Channels: 1, Source: 0, Protocol: "ICFF"})
+		fw.WriteNode(flight.NodeInfo{ID: 0, Role: flight.RoleHead, Parent: flight.NoParent, Depth: 0, BSlot: tc.bslot, LSlot: tc.lslot})
+		fw.WriteNode(flight.NodeInfo{ID: 1, Role: flight.RoleGateway, Parent: 0, Depth: 1})
+		fw.WriteNode(flight.NodeInfo{ID: 2, Role: flight.RoleHead, Parent: 1, Depth: 2})
+		fw.WriteNode(flight.NodeInfo{ID: 3, Role: flight.RoleMember, Parent: 0, Depth: 1})
+		for _, e := range [][2]graph.NodeID{{0, 1}, {0, 1}, {1, 0}, {1, 2}, {0, 3}} {
+			fw.WriteEdge(e[0], e[1])
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := flight.DecodeBytes(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Edges) != 5 {
+			t.Fatalf("%s: decoded %d edge records, want 5", tc.name, len(rec.Edges))
+		}
+		var got error
+		for _, c := range flight.Verify(rec).Checks {
+			if c.Name == "slot-bounds" {
+				got = c.Err
+			}
+		}
+		if got == nil || !strings.Contains(got.Error(), tc.want) {
+			t.Errorf("%s: slot-bounds error %v, want one naming %s", tc.name, got, tc.want)
 		}
 	}
 }

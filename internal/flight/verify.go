@@ -3,6 +3,7 @@ package flight
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -101,8 +102,10 @@ type verifier struct {
 	rec *Recording
 	rep *Report
 
-	nodes   map[graph.NodeID]*NodeInfo
-	adj     map[graph.NodeID]map[graph.NodeID]bool
+	nodes map[graph.NodeID]*NodeInfo
+	// adj holds each recorded node's G-neighbors ascending and without
+	// duplicates; adjacent checks an edge by binary search.
+	adj     map[graph.NodeID][]graph.NodeID
 	root    graph.NodeID
 	hasRoot bool
 	depth   map[graph.NodeID]int // recomputed from parents
@@ -117,16 +120,7 @@ func (v *verifier) prepare() {
 	for i := range r.Nodes {
 		v.nodes[r.Nodes[i].ID] = &r.Nodes[i]
 	}
-	v.adj = make(map[graph.NodeID]map[graph.NodeID]bool, len(r.Nodes))
-	for id := range v.nodes {
-		v.adj[id] = make(map[graph.NodeID]bool)
-	}
-	for _, e := range r.Edges {
-		if v.adj[e.U] != nil && v.adj[e.V] != nil {
-			v.adj[e.U][e.V] = true
-			v.adj[e.V][e.U] = true
-		}
-	}
+	v.buildAdjacency()
 	for id, n := range v.nodes {
 		if n.Parent == NoParent {
 			if !v.hasRoot {
@@ -150,6 +144,44 @@ func (v *verifier) prepare() {
 			}
 		}
 	}
+}
+
+// buildAdjacency fills adj from the edges whose endpoints are both
+// recorded nodes. The lists share one backing array, sized by a degree
+// count, and are sorted and deduplicated in place.
+func (v *verifier) buildAdjacency() {
+	deg := make(map[graph.NodeID]int, len(v.nodes))
+	total := 0
+	for _, e := range v.rec.Edges {
+		if v.nodes[e.U] != nil && v.nodes[e.V] != nil {
+			deg[e.U]++
+			deg[e.V]++
+			total += 2
+		}
+	}
+	backing := make([]graph.NodeID, total)
+	v.adj = make(map[graph.NodeID][]graph.NodeID, len(deg))
+	off := 0
+	for id, k := range deg {
+		v.adj[id] = backing[off : off : off+k]
+		off += k
+	}
+	for _, e := range v.rec.Edges {
+		if v.nodes[e.U] != nil && v.nodes[e.V] != nil {
+			v.adj[e.U] = append(v.adj[e.U], e.V)
+			v.adj[e.V] = append(v.adj[e.V], e.U)
+		}
+	}
+	for id, peers := range v.adj {
+		slices.Sort(peers)
+		v.adj[id] = slices.Compact(peers)
+	}
+}
+
+// adjacent reports whether the recording has a G-edge u-w.
+func (v *verifier) adjacent(u, w graph.NodeID) bool {
+	_, ok := slices.BinarySearch(v.adj[u], w)
+	return ok
 }
 
 func normEdge(u, vv graph.NodeID) Edge {
@@ -277,7 +309,7 @@ func (v *verifier) checkStructure() {
 			return
 		}
 		if n.Parent != NoParent {
-			if !v.adj[id][n.Parent] {
+			if !v.adjacent(id, n.Parent) {
 				v.rep.add(name, fmt.Errorf("flight: tree edge %d-%d is not a recorded G edge", id, n.Parent), "")
 				return
 			}
@@ -314,7 +346,7 @@ func (v *verifier) checkStructure() {
 					v.rep.add(name, fmt.Errorf("flight: gateway %d has non-head child %d", id, c), "")
 					return
 				}
-				if !v.adj[id][c] {
+				if !v.adjacent(id, c) {
 					v.rep.add(name, fmt.Errorf("flight: gateway %d not adjacent to child head %d", id, c), "")
 					return
 				}
@@ -342,7 +374,7 @@ func (v *verifier) checkStructure() {
 		if n.Role != RoleHead {
 			continue
 		}
-		for peer := range v.adj[id] {
+		for _, peer := range v.adj[id] {
 			if p, ok := v.nodes[peer]; ok && p.Role == RoleHead {
 				v.rep.add(name, fmt.Errorf("flight: adjacent heads %d and %d", id, peer), "")
 				return
@@ -376,7 +408,7 @@ func (v *verifier) degrees() (bigD, smallD int) {
 			continue
 		}
 		deg := 0
-		for peer := range peers {
+		for _, peer := range peers {
 			if p, ok := v.nodes[peer]; ok && p.Role != RoleMember {
 				deg++
 			}
@@ -514,7 +546,7 @@ func (v *verifier) checkDeliveries() {
 	heard := func(listener graph.NodeID, key rc) []graph.NodeID {
 		var out []graph.NodeID
 		for _, t := range txs[key] {
-			if t == listener || !v.adj[listener][t] {
+			if t == listener || !v.adjacent(listener, t) {
 				continue
 			}
 			if cutAt, ok := v.linkCut[normEdge(listener, t)]; ok && key.round >= cutAt {

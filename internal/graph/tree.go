@@ -2,33 +2,38 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Tree is a rooted tree maintained incrementally: leaves may be attached and
 // detached, and whole subtrees enumerated. CNet(G) and BT(G) are Trees.
+//
+// Every mutation keeps depths, the per-depth node counts and the sorted
+// child lists up to date, so Depth, Height, DepthMap and Children are O(1)
+// reads and AddChild costs O(children of the parent).
 type Tree struct {
-	root     NodeID
-	parent   map[NodeID]NodeID
-	children map[NodeID]map[NodeID]struct{}
-
-	// depthCache memoizes DepthMap between mutations; nil means stale.
-	depthCache map[NodeID]int
-	// childCache memoizes each node's sorted child slice, dropped per-node
-	// on mutation; traversals (Subtree, EulerTour, broadcast schedules)
-	// read it allocation-free.
-	childCache map[NodeID][]NodeID
+	root   NodeID
+	parent map[NodeID]NodeID
+	// children holds each node's children ascending. The slices are
+	// copy-on-write with len == cap: a mutation stores a fresh slice and
+	// never writes into one already handed out, so clones share them.
+	children map[NodeID][]NodeID
+	depth    map[NodeID]int
+	// levels[d] counts the nodes at depth d; the top level is non-empty,
+	// so the height is len(levels)-1.
+	levels []int
 }
 
 // NewTree returns a tree containing only root.
 func NewTree(root NodeID) *Tree {
-	t := &Tree{
+	return &Tree{
 		root:     root,
 		parent:   make(map[NodeID]NodeID),
-		children: make(map[NodeID]map[NodeID]struct{}),
+		children: map[NodeID][]NodeID{root: nil},
+		depth:    map[NodeID]int{root: 0},
+		levels:   []int{1},
 	}
-	t.children[root] = make(map[NodeID]struct{})
-	return t
 }
 
 // Root returns the root node.
@@ -36,12 +41,12 @@ func (t *Tree) Root() NodeID { return t.root }
 
 // Contains reports whether id is in the tree.
 func (t *Tree) Contains(id NodeID) bool {
-	_, ok := t.children[id]
+	_, ok := t.depth[id]
 	return ok
 }
 
 // Size returns the number of nodes.
-func (t *Tree) Size() int { return len(t.children) }
+func (t *Tree) Size() int { return len(t.depth) }
 
 // AddChild attaches a new node under parent. It fails if parent is absent or
 // the node already exists.
@@ -52,11 +57,21 @@ func (t *Tree) AddChild(id, parent NodeID) error {
 	if !t.Contains(parent) {
 		return fmt.Errorf("tree: parent %d not present", parent)
 	}
+	ch := t.children[parent]
+	i, _ := slices.BinarySearch(ch, id)
+	next := make([]NodeID, len(ch)+1)
+	copy(next, ch[:i])
+	next[i] = id
+	copy(next[i+1:], ch[i:])
+	t.children[parent] = next
+	t.children[id] = nil
 	t.parent[id] = parent
-	t.children[id] = make(map[NodeID]struct{})
-	t.children[parent][id] = struct{}{}
-	t.depthCache = nil
-	delete(t.childCache, parent)
+	d := t.depth[parent] + 1
+	t.depth[id] = d
+	if d == len(t.levels) {
+		t.levels = append(t.levels, 0)
+	}
+	t.levels[d]++
 	return nil
 }
 
@@ -71,20 +86,15 @@ func (t *Tree) RemoveLeaf(id NodeID) error {
 	if len(t.children[id]) != 0 {
 		return fmt.Errorf("tree: node %d has children", id)
 	}
-	p := t.parent[id]
-	delete(t.children[p], id)
-	delete(t.parent, id)
-	delete(t.children, id)
-	t.depthCache = nil
-	delete(t.childCache, p)
-	delete(t.childCache, id)
+	t.detach(id)
+	t.forget(id)
+	t.trimLevels()
 	return nil
 }
 
 // RemoveSubtree detaches the whole subtree rooted at id (including id) and
-// returns the removed nodes in preorder. Removing the root empties the tree
-// except that the tree becomes unusable; callers re-rooting should build a
-// fresh Tree instead.
+// returns the removed nodes in preorder. The root cannot be removed;
+// callers re-rooting should build a fresh Tree instead.
 func (t *Tree) RemoveSubtree(id NodeID) ([]NodeID, error) {
 	if !t.Contains(id) {
 		return nil, fmt.Errorf("tree: node %d not present", id)
@@ -93,16 +103,41 @@ func (t *Tree) RemoveSubtree(id NodeID) ([]NodeID, error) {
 		return nil, fmt.Errorf("tree: refusing to remove subtree at root; rebuild instead")
 	}
 	nodes := t.Subtree(id)
-	p := t.parent[id]
-	delete(t.children[p], id)
+	t.detach(id)
 	for _, n := range nodes {
-		delete(t.parent, n)
-		delete(t.children, n)
-		delete(t.childCache, n)
+		t.forget(n)
 	}
-	t.depthCache = nil
-	delete(t.childCache, p)
+	t.trimLevels()
 	return nodes, nil
+}
+
+// detach drops id from its parent's child list, storing a fresh slice.
+func (t *Tree) detach(id NodeID) {
+	p := t.parent[id]
+	ch := t.children[p]
+	i, _ := slices.BinarySearch(ch, id)
+	var next []NodeID
+	if len(ch) > 1 {
+		next = make([]NodeID, len(ch)-1)
+		copy(next, ch[:i])
+		copy(next[i:], ch[i+1:])
+	}
+	t.children[p] = next
+}
+
+// forget deletes id's own entries and its level count.
+func (t *Tree) forget(id NodeID) {
+	t.levels[t.depth[id]]--
+	delete(t.parent, id)
+	delete(t.children, id)
+	delete(t.depth, id)
+}
+
+// trimLevels drops emptied top levels so the height stays exact.
+func (t *Tree) trimLevels() {
+	for len(t.levels) > 1 && t.levels[len(t.levels)-1] == 0 {
+		t.levels = t.levels[:len(t.levels)-1]
+	}
 }
 
 // Parent returns the parent of id, with ok=false for the root or absent
@@ -112,29 +147,12 @@ func (t *Tree) Parent(id NodeID) (NodeID, bool) {
 	return p, ok
 }
 
-// Children returns the children of id in ascending order. The result is
-// cached and shared until id's child set mutates: callers must not modify
-// it (appending is safe — the cache is exactly sized, so append
-// reallocates).
-func (t *Tree) Children(id NodeID) []NodeID {
-	if out, ok := t.childCache[id]; ok {
-		return out
-	}
-	ch, ok := t.children[id]
-	if !ok {
-		return nil
-	}
-	out := make([]NodeID, 0, len(ch))
-	for c := range ch {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if t.childCache == nil {
-		t.childCache = make(map[NodeID][]NodeID, len(t.children))
-	}
-	t.childCache[id] = out
-	return out
-}
+// Children returns the children of id in ascending order, or nil for a
+// leaf or an absent node. The slice is shared with the tree: callers must
+// not modify it. It stays valid after later mutations, which store fresh
+// slices instead of writing into it, and appending to it is safe because
+// len == cap.
+func (t *Tree) Children(id NodeID) []NodeID { return t.children[id] }
 
 // IsLeaf reports whether id is present and has no children.
 func (t *Tree) IsLeaf(id NodeID) bool {
@@ -144,11 +162,11 @@ func (t *Tree) IsLeaf(id NodeID) bool {
 
 // Nodes returns all nodes in ascending order.
 func (t *Tree) Nodes() []NodeID {
-	out := make([]NodeID, 0, len(t.children))
-	for id := range t.children {
+	out := make([]NodeID, 0, len(t.depth))
+	for id := range t.depth {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -160,57 +178,29 @@ func (t *Tree) Leaves() []NodeID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Depth returns the number of edges from the root to id, or -1 if absent.
 // The root has depth 0 (the paper's "null" depth).
 func (t *Tree) Depth(id NodeID) int {
-	if !t.Contains(id) {
+	d, ok := t.depth[id]
+	if !ok {
 		return -1
-	}
-	d := 0
-	for id != t.root {
-		id = t.parent[id]
-		d++
 	}
 	return d
 }
 
-// DepthMap returns the depth of every node. The result is memoized between
-// mutations; callers must not modify it.
-func (t *Tree) DepthMap() map[NodeID]int {
-	if t.depthCache != nil {
-		return t.depthCache
-	}
-	depth := make(map[NodeID]int, len(t.children))
-	// Preorder from root, children ascending, so traversal is deterministic.
-	stack := []NodeID{t.root}
-	depth[t.root] = 0
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range t.Children(u) {
-			depth[c] = depth[u] + 1
-			stack = append(stack, c)
-		}
-	}
-	t.depthCache = depth
-	return depth
-}
+// DepthMap returns the depth of every node. It is the tree's own map, a
+// live view rather than a snapshot: later mutations show through it.
+// Callers must not modify it, and must not hold it across a mutation if
+// they need the depths as they were.
+func (t *Tree) DepthMap() map[NodeID]int { return t.depth }
 
 // Height returns the maximum depth over all nodes (0 for a single node).
 // This is the paper's h when applied to CNet(G) or BT(G).
-func (t *Tree) Height() int {
-	h := 0
-	for _, d := range t.DepthMap() {
-		if d > h {
-			h = d
-		}
-	}
-	return h
-}
+func (t *Tree) Height() int { return len(t.levels) - 1 }
 
 // SubtreeHeight returns the height of the subtree rooted at id (0 if id is
 // a leaf), or -1 if id is absent.
@@ -219,20 +209,10 @@ func (t *Tree) SubtreeHeight(id NodeID) int {
 		return -1
 	}
 	h := 0
-	depth := map[NodeID]int{id: 0}
-	stack := []NodeID{id}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if depth[u] > h {
-			h = depth[u]
-		}
-		for _, c := range t.Children(u) {
-			depth[c] = depth[u] + 1
-			stack = append(stack, c)
-		}
+	for _, n := range t.Subtree(id) {
+		h = max(h, t.depth[n])
 	}
-	return h
+	return h - t.depth[id]
 }
 
 // Subtree returns the nodes of the subtree rooted at id in deterministic
@@ -301,24 +281,16 @@ func (t *Tree) EulerTour(start NodeID) []NodeID {
 	return tour
 }
 
-// Clone returns a deep copy.
+// Clone returns an independent copy. Child slices are shared, which is
+// safe because neither tree ever writes into one.
 func (t *Tree) Clone() *Tree {
-	c := &Tree{
+	return &Tree{
 		root:     t.root,
-		parent:   make(map[NodeID]NodeID, len(t.parent)),
-		children: make(map[NodeID]map[NodeID]struct{}, len(t.children)),
+		parent:   maps.Clone(t.parent),
+		children: maps.Clone(t.children),
+		depth:    maps.Clone(t.depth),
+		levels:   slices.Clone(t.levels),
 	}
-	for k, v := range t.parent {
-		c.parent[k] = v
-	}
-	for k, v := range t.children {
-		m := make(map[NodeID]struct{}, len(v))
-		for n := range v {
-			m[n] = struct{}{}
-		}
-		c.children[k] = m
-	}
-	return c
 }
 
 // AsGraph returns the tree's node/edge set as an undirected Graph.
@@ -331,8 +303,10 @@ func (t *Tree) AsGraph() *Graph {
 	return g
 }
 
-// Validate checks structural consistency: parent/children agreement, a
-// single root, and acyclicity (every node reaches the root).
+// Validate checks structural consistency: parent/children agreement,
+// strictly ascending child lists, a single root, acyclicity (every node
+// reaches the root), and that the maintained depths and per-depth counts
+// match the parent links.
 func (t *Tree) Validate() error {
 	if !t.Contains(t.root) {
 		return fmt.Errorf("tree: root %d missing", t.root)
@@ -340,7 +314,10 @@ func (t *Tree) Validate() error {
 	if _, ok := t.parent[t.root]; ok {
 		return fmt.Errorf("tree: root %d has a parent", t.root)
 	}
-	for id := range t.children {
+	if len(t.children) != len(t.depth) || len(t.parent) != len(t.depth)-1 {
+		return fmt.Errorf("tree: %d child lists, %d parents for %d nodes", len(t.children), len(t.parent), len(t.depth))
+	}
+	for id := range t.depth {
 		if id == t.root {
 			continue
 		}
@@ -348,21 +325,27 @@ func (t *Tree) Validate() error {
 		if !ok {
 			return fmt.Errorf("tree: non-root %d has no parent", id)
 		}
-		if _, ok := t.children[p][id]; !ok {
+		if _, ok := slices.BinarySearch(t.children[p], id); !ok {
 			return fmt.Errorf("tree: %d not registered as child of %d", id, p)
 		}
 	}
 	for p, ch := range t.children {
-		for c := range ch {
+		for i, c := range ch {
+			if i > 0 && ch[i-1] >= c {
+				return fmt.Errorf("tree: children of %d not strictly ascending: %v", p, ch)
+			}
 			if got, ok := t.parent[c]; !ok || got != p {
 				return fmt.Errorf("tree: child %d of %d has parent %v", c, p, got)
 			}
 		}
 	}
-	// Reachability: every node's path to root must terminate.
-	for id := range t.children {
+	// Reachability: every node's path to root must terminate, and its
+	// length is the node's depth.
+	levels := make([]int, len(t.levels))
+	for id, want := range t.depth {
 		seen := make(map[NodeID]struct{})
 		cur := id
+		d := 0
 		for cur != t.root {
 			if _, dup := seen[cur]; dup {
 				return fmt.Errorf("tree: cycle through %d", cur)
@@ -373,7 +356,21 @@ func (t *Tree) Validate() error {
 				return fmt.Errorf("tree: %d does not reach root", id)
 			}
 			cur = p
+			d++
 		}
+		if d != want {
+			return fmt.Errorf("tree: %d has depth %d, recorded %d", id, d, want)
+		}
+		if d >= len(levels) {
+			return fmt.Errorf("tree: %d at depth %d above recorded height %d", id, d, t.Height())
+		}
+		levels[d]++
+	}
+	if !slices.Equal(levels, t.levels) {
+		return fmt.Errorf("tree: per-depth counts %v, recorded %v", levels, t.levels)
+	}
+	if levels[len(levels)-1] == 0 {
+		return fmt.Errorf("tree: recorded height %d but depth %d is empty", t.Height(), t.Height())
 	}
 	return nil
 }

@@ -70,6 +70,7 @@ echo "== fuzz smoke"
 go test -run '^$' -fuzz '^FuzzNetioRead$' -fuzztime 5s ./internal/netio
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 5s ./internal/netio/frame
 go test -run '^$' -fuzz '^FuzzRecordingDecode$' -fuzztime 5s ./internal/flight
+go test -run '^$' -fuzz '^FuzzTreeOps$' -fuzztime 5s ./internal/graph
 go test -run '^$' -fuzz '^FuzzEngineEquivalence$' -fuzztime 5s ./internal/radio
 go test -run '^$' -fuzz '^FuzzScenarioParse$' -fuzztime 5s ./internal/scenario
 # The go tool ignores testdata, so the lint fixtures only compile through
