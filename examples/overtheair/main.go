@@ -51,9 +51,7 @@ func main() {
 		if id == net.Root() || id == 500 {
 			continue
 		}
-		g := net.Graph().Clone()
-		g.RemoveNode(id)
-		if g.Connected() {
+		if !net.Graph().IsCutVertex(id) {
 			victim, found = id, true
 			break
 		}

@@ -2,6 +2,7 @@ package cnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynsens/internal/graph"
@@ -96,32 +97,26 @@ func (c *CNet) RemoveCrashed(dead []graph.NodeID) (CrashRecord, OpCost, error) {
 	}
 	cost.Discovery = 2 * (len(pending) + len(deadSet)) // detection + tour bookkeeping
 
-	// Re-insert reachable orphans; drop the rest.
-	for len(pending) > 0 {
-		moved := false
-		for _, x := range sortedKeys(pending) {
-			nbrs := c.currentNeighbors(x)
-			if len(nbrs) == 0 {
-				continue
-			}
-			if _, mcost, err := c.MoveIn(x, nbrs); err != nil {
-				return CrashRecord{}, OpCost{}, fmt.Errorf("cnet: re-attaching orphan %d: %w", x, err)
-			} else {
-				cost.Add(mcost)
-			}
-			rec.Reinserted = append(rec.Reinserted, x)
-			delete(pending, x)
-			moved = true
-			break
-		}
-		if !moved {
+	// Re-insert reachable orphans, lowest eligible ID first; drop the rest.
+	orphans := sortedKeys(pending)
+	for len(orphans) > 0 {
+		i := slices.IndexFunc(orphans, c.hearsNetwork)
+		if i < 0 {
 			// Remaining orphans cannot reach the sink: drop them.
-			for _, x := range sortedKeys(pending) {
+			for _, x := range orphans {
 				rec.Dropped = append(rec.Dropped, x)
 				c.g.RemoveNode(x)
-				delete(pending, x)
 			}
+			break
 		}
+		x := orphans[i]
+		orphans = slices.Delete(orphans, i, i+1)
+		if _, mcost, err := c.MoveIn(x, c.currentNeighbors(x)); err != nil {
+			return CrashRecord{}, OpCost{}, fmt.Errorf("cnet: re-attaching orphan %d: %w", x, err)
+		} else {
+			cost.Add(mcost)
+		}
+		rec.Reinserted = append(rec.Reinserted, x)
 	}
 	c.countCrash(rec)
 	return rec, cost, nil

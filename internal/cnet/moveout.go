@@ -2,6 +2,7 @@ package cnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dynsens/internal/graph"
@@ -43,14 +44,14 @@ func (c *CNet) MoveOut(lev graph.NodeID) (MoveOutRecord, OpCost, error) {
 	if c.Size() == 1 {
 		return MoveOutRecord{}, OpCost{}, fmt.Errorf("cnet: refusing to remove the last node %d", lev)
 	}
-	residual := c.g.Clone()
-	residual.RemoveNode(lev)
-	if !residual.Connected() {
+	// G is connected (CNet(G) spans it), so the residual graph is
+	// connected exactly when lev is not a cut vertex.
+	if c.g.IsCutVertex(lev) {
 		return MoveOutRecord{}, OpCost{}, fmt.Errorf("cnet: removing %d disconnects the network", lev)
 	}
 
-	// Copy the adjacency out of the graph's shared neighbor cache: the
-	// record outlives the removal below.
+	// Copy the adjacency out of the graph's shared storage: the record
+	// outlives the removal below.
 	rec := MoveOutRecord{Removed: lev, Neighbors: append([]graph.NodeID(nil), c.g.Neighbors(lev)...)}
 	var cost OpCost
 
@@ -68,13 +69,14 @@ func (c *CNet) MoveOut(lev graph.NodeID) (MoveOutRecord, OpCost, error) {
 	if err != nil {
 		return MoveOutRecord{}, OpCost{}, err
 	}
-	pending := make(map[graph.NodeID]struct{}, len(subtree)-1)
+	pending := make([]graph.NodeID, 0, len(subtree)-1)
 	for _, x := range subtree {
 		delete(c.status, x)
 		if x != lev {
-			pending[x] = struct{}{}
+			pending = append(pending, x)
 		}
 	}
+	slices.Sort(pending)
 	c.g.RemoveNode(lev)
 
 	// Step 0/1 bookkeeping: lev announces departure along the path to the
@@ -86,26 +88,19 @@ func (c *CNet) MoveOut(lev graph.NodeID) (MoveOutRecord, OpCost, error) {
 	// Step 2: move the nodes of T back in, each when it can hear the
 	// current network. Deterministic: lowest-ID eligible node first.
 	for len(pending) > 0 {
-		moved := false
-		for _, x := range sortedKeys(pending) {
-			nbrs := c.currentNeighbors(x)
-			if len(nbrs) == 0 {
-				continue
-			}
-			if _, mcost, err := c.MoveIn(x, nbrs); err != nil {
-				return MoveOutRecord{}, OpCost{}, fmt.Errorf("cnet: re-inserting %d: %w", x, err)
-			} else {
-				cost.Add(mcost)
-			}
-			rec.Reinserted = append(rec.Reinserted, x)
-			delete(pending, x)
-			moved = true
-			break
-		}
-		if !moved {
+		i := slices.IndexFunc(pending, c.hearsNetwork)
+		if i < 0 {
 			// Unreachable given residual connectivity.
-			return MoveOutRecord{}, OpCost{}, fmt.Errorf("cnet: stranded subtree nodes %v after removing %d", sortedKeys(pending), lev)
+			return MoveOutRecord{}, OpCost{}, fmt.Errorf("cnet: stranded subtree nodes %v after removing %d", pending, lev)
 		}
+		x := pending[i]
+		pending = slices.Delete(pending, i, i+1)
+		if _, mcost, err := c.MoveIn(x, c.currentNeighbors(x)); err != nil {
+			return MoveOutRecord{}, OpCost{}, fmt.Errorf("cnet: re-inserting %d: %w", x, err)
+		} else {
+			cost.Add(mcost)
+		}
+		rec.Reinserted = append(rec.Reinserted, x)
 	}
 	c.countMoveOut(rec)
 	return rec, cost, nil
@@ -146,6 +141,12 @@ func (c *CNet) moveOutRoot(lev graph.NodeID, rec MoveOutRecord) (MoveOutRecord, 
 	rec.RootChanged = true
 	rec.NewRoot = newRoot
 	return rec, cost, nil
+}
+
+// hearsNetwork reports whether x has a g-neighbor that is currently a
+// member of the CNet.
+func (c *CNet) hearsNetwork(x graph.NodeID) bool {
+	return slices.ContainsFunc(c.g.Neighbors(x), c.Contains)
 }
 
 // currentNeighbors returns x's g-neighbors that are currently members of

@@ -248,9 +248,7 @@ func safeLeaveCandidate(net *core.Network) (graph.NodeID, bool) {
 		if id == net.Root() {
 			continue
 		}
-		res := net.Graph().Clone()
-		res.RemoveNode(id)
-		if res.Connected() {
+		if !net.Graph().IsCutVertex(id) {
 			return id, true
 		}
 	}

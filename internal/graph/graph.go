@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,18 +21,17 @@ type NodeID int
 // Graph is a simple undirected graph without self-loops or parallel edges.
 // The zero value is not usable; call New.
 //
-// Sorted adjacency and node listings are cached between mutations so that
-// the traversal and protocol hot loops pay no per-call sort or allocation;
-// see Neighbors and Nodes for the sharing contract.
+// Each node's adjacency is one ascending slice, kept sorted on every
+// mutation, so the traversal and protocol hot loops read it with no sort
+// or allocation; see Neighbors for the sharing contract. Only the node
+// listing is built lazily (see Nodes).
 type Graph struct {
-	adj   map[NodeID]map[NodeID]struct{}
+	// adj holds every node's neighbors in ascending order. Mutations
+	// insert and delete in place with room to grow, so building a graph
+	// edge by edge costs amortised O(degree) per edge.
+	adj   map[NodeID][]NodeID
 	edges int
 
-	// nbrCache holds the sorted adjacency slice of each node, built lazily
-	// by Neighbors and dropped per-node whenever that node's adjacency
-	// mutates. Cached slices are exactly sized (len == cap) so a caller
-	// append always reallocates instead of writing into the cache.
-	nbrCache map[NodeID][]NodeID
 	// nodeCache holds the sorted node listing, dropped on any node-set
 	// mutation.
 	nodeCache []NodeID
@@ -39,13 +39,13 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{adj: make(map[NodeID]map[NodeID]struct{})}
+	return &Graph{adj: make(map[NodeID][]NodeID)}
 }
 
 // AddNode inserts an isolated node. Adding an existing node is a no-op.
 func (g *Graph) AddNode(id NodeID) {
 	if _, ok := g.adj[id]; !ok {
-		g.adj[id] = make(map[NodeID]struct{})
+		g.adj[id] = nil
 		g.nodeCache = nil
 	}
 }
@@ -63,13 +63,11 @@ func (g *Graph) RemoveNode(id NodeID) {
 	if !ok {
 		return
 	}
-	for n := range nbrs {
-		delete(g.adj[n], id)
-		delete(g.nbrCache, n)
-		g.edges--
+	for _, n := range nbrs {
+		g.adj[n], _ = deleteSorted(g.adj[n], id)
 	}
+	g.edges -= len(nbrs)
 	delete(g.adj, id)
-	delete(g.nbrCache, id)
 	g.nodeCache = nil
 }
 
@@ -81,32 +79,48 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	}
 	g.AddNode(u)
 	g.AddNode(v)
-	if _, ok := g.adj[u][v]; ok {
+	nu, added := insertSorted(g.adj[u], v)
+	if !added {
 		return nil
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	g.adj[u] = nu
+	g.adj[v], _ = insertSorted(g.adj[v], u)
 	g.edges++
-	delete(g.nbrCache, u)
-	delete(g.nbrCache, v)
 	return nil
 }
 
 // RemoveEdge deletes the undirected edge {u, v} if present.
 func (g *Graph) RemoveEdge(u, v NodeID) {
-	if _, ok := g.adj[u][v]; !ok {
+	nu, removed := deleteSorted(g.adj[u], v)
+	if !removed {
 		return
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	g.adj[u] = nu
+	g.adj[v], _ = deleteSorted(g.adj[v], u)
 	g.edges--
-	delete(g.nbrCache, u)
-	delete(g.nbrCache, v)
+}
+
+// insertSorted inserts v into the ascending slice s unless present.
+func insertSorted(s []NodeID, v NodeID) ([]NodeID, bool) {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s, false
+	}
+	return slices.Insert(s, i, v), true
+}
+
+// deleteSorted removes v from the ascending slice s if present.
+func deleteSorted(s []NodeID, v NodeID) ([]NodeID, bool) {
+	i, found := slices.BinarySearch(s, v)
+	if !found {
+		return s, false
+	}
+	return slices.Delete(s, i, i+1), true
 }
 
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	_, ok := g.adj[u][v]
+	_, ok := slices.BinarySearch(g.adj[u], v)
 	return ok
 }
 
@@ -134,44 +148,28 @@ func (g *Graph) Nodes() []NodeID {
 	return out
 }
 
-// Neighbors returns the neighbors of id in ascending order. Absent nodes
-// yield nil. The result is cached and shared until id's adjacency mutates:
-// callers must not modify it (appending is safe — the cache is exactly
-// sized, so append reallocates). On an unmutated graph repeated calls are
-// allocation-free.
+// Neighbors returns the neighbors of id in ascending order. Absent and
+// isolated nodes yield an empty slice. The result shares the graph's
+// storage until id's adjacency next mutates, after which its contents are
+// unspecified: callers must not modify it, and must copy it to keep it
+// across a mutation of id (see cnet.MoveOutRecord.Neighbors). Appending is
+// safe — the result is exactly sized (len == cap), so append reallocates.
+// Neighbors never allocates.
 //
-//dynlint:hotpath cached adjacency feeds the kernel every round
+//dynlint:hotpath sorted adjacency feeds the kernel every round
 func (g *Graph) Neighbors(id NodeID) []NodeID {
-	if out, ok := g.nbrCache[id]; ok {
-		return out
-	}
-	nbrs, ok := g.adj[id]
-	if !ok {
-		return nil
-	}
-	out := make([]NodeID, 0, len(nbrs))
-	for n := range nbrs {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if g.nbrCache == nil {
-		g.nbrCache = make(map[NodeID][]NodeID, len(g.adj))
-	}
-	g.nbrCache[id] = out
-	return out
+	s := g.adj[id]
+	return s[:len(s):len(s)]
 }
 
-// WarmAdjacency materializes the sorted node listing and every node's
-// sorted adjacency slice in the caches. Neighbors and Nodes build their
-// caches lazily — a map write on first call — so concurrent readers of an
-// otherwise-immutable graph must warm the caches first; after
-// WarmAdjacency returns (and until the next mutation), Nodes, Neighbors,
-// HasEdge, Degree and NumEdges are safe to call from multiple goroutines.
-// The radio engine's parallel kernel relies on this.
+// WarmAdjacency materializes the sorted node listing, the one structure
+// Nodes builds lazily (a write on first call). Concurrent readers of an
+// otherwise-immutable graph must warm it first; after WarmAdjacency
+// returns (and until the next mutation), Nodes, Neighbors, HasEdge,
+// Degree and NumEdges are safe to call from multiple goroutines. The
+// radio engine's parallel kernel relies on this.
 func (g *Graph) WarmAdjacency() {
-	for _, id := range g.Nodes() {
-		g.Neighbors(id)
-	}
+	g.Nodes()
 }
 
 // Degree returns the degree of id (0 for absent nodes).
@@ -189,16 +187,18 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. All adjacency slices of the copy
+// share one backing array, each capped at its own length, so the first
+// insertion into a node's adjacency moves it out instead of overwriting
+// its neighbor's.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	c.edges = g.edges
-	for id, nbrs := range g.adj {
-		m := make(map[NodeID]struct{}, len(nbrs))
-		for n := range nbrs {
-			m[n] = struct{}{}
-		}
-		c.adj[id] = m
+	nodes := g.Nodes()
+	c := &Graph{adj: make(map[NodeID][]NodeID, len(nodes)), edges: g.edges, nodeCache: nodes}
+	backing := make([]NodeID, 0, 2*g.edges)
+	for _, id := range nodes {
+		start := len(backing)
+		backing = append(backing, g.adj[id]...)
+		c.adj[id] = backing[start:len(backing):len(backing)]
 	}
 	return c
 }
@@ -214,16 +214,24 @@ func (g *Graph) InducedSubgraph(keep []NodeID) *Graph {
 			in[id] = struct{}{}
 		}
 	}
-	sub := New()
-	for id := range in {
-		sub.AddNode(id)
-		for n := range g.adj[id] {
-			if _, ok := in[n]; ok && n > id {
-				// AddEdge cannot fail here: id != n.
-				_ = sub.AddEdge(id, n)
+	sub := &Graph{adj: make(map[NodeID][]NodeID, len(in))}
+	for _, id := range keep {
+		if _, ok := in[id]; !ok {
+			continue
+		}
+		if _, done := sub.adj[id]; done {
+			continue
+		}
+		var nbrs []NodeID
+		for _, n := range g.adj[id] {
+			if _, ok := in[n]; ok {
+				nbrs = append(nbrs, n)
 			}
 		}
+		sub.adj[id] = nbrs
+		sub.edges += len(nbrs)
 	}
+	sub.edges /= 2
 	return sub
 }
 
@@ -281,6 +289,38 @@ func (g *Graph) Connected() bool {
 		break
 	}
 	return len(g.BFS(root).Order) == len(g.adj)
+}
+
+// IsCutVertex reports whether removing v would split its connected
+// component, i.e. whether v is an articulation point. Only v's component
+// is searched, and the search stops as soon as it has reached every
+// neighbor of v around it, so when the neighbors are joined by short
+// detours — the usual case, a non-cut node of a geometric graph — it
+// touches only v's surroundings. On a connected graph, removing v keeps
+// it connected exactly when v is not a cut vertex.
+func (g *Graph) IsCutVertex(v NodeID) bool {
+	nbrs := g.adj[v]
+	if len(nbrs) < 2 {
+		return false
+	}
+	missing := len(nbrs) - 1
+	seen := map[NodeID]struct{}{nbrs[0]: {}}
+	queue := []NodeID{nbrs[0]}
+	for head := 0; head < len(queue); head++ {
+		for _, u := range g.adj[queue[head]] {
+			if _, ok := seen[u]; ok || u == v {
+				continue
+			}
+			seen[u] = struct{}{}
+			queue = append(queue, u)
+			if _, isNbr := slices.BinarySearch(nbrs, u); isNbr {
+				if missing--; missing == 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // Components returns the connected components, each sorted ascending, and
@@ -407,13 +447,8 @@ func (g *Graph) Equal(o *Graph) bool {
 	}
 	for id, nbrs := range g.adj {
 		onbrs, ok := o.adj[id]
-		if !ok || len(nbrs) != len(onbrs) {
+		if !ok || !slices.Equal(nbrs, onbrs) {
 			return false
-		}
-		for n := range nbrs {
-			if _, ok := onbrs[n]; !ok {
-				return false
-			}
 		}
 	}
 	return true

@@ -221,7 +221,12 @@ func (t *Tree) Subtree(id NodeID) []NodeID {
 	if !t.Contains(id) {
 		return nil
 	}
-	out := make([]NodeID, 0, t.Size())
+	// Size the whole tree's listing once; a subtree grows as it is found,
+	// so removing a small one costs its size, not the tree's.
+	var out []NodeID
+	if id == t.root {
+		out = make([]NodeID, 0, t.Size())
+	}
 	var walk func(NodeID)
 	walk = func(u NodeID) {
 		out = append(out, u)

@@ -248,9 +248,9 @@ func (e *Engine) newKernel() *kernel {
 		k.deadAt[i] = neverDies
 	}
 
-	// Translate the cached adjacency into dense index space once, so the
-	// resolve phase does no map lookups and never touches the graph's lazy
-	// caches from worker goroutines. One flat backing array holds all rows.
+	// Translate the adjacency into dense index space once, so the resolve
+	// phase does no map lookups and never touches the graph from worker
+	// goroutines. One flat backing array holds all rows.
 	e.g.WarmAdjacency()
 	flat := make([]int32, 0, 2*e.g.NumEdges())
 	k.nbrs = make([][]int32, n)

@@ -13,7 +13,9 @@ import (
 // collision-freedom (the Time-Slot Conditions, via Verify) and the Lemma 3
 // size bounds after every single step — the paper's claim is precisely
 // that the conditions are an invariant of the update procedures, not just
-// of bulk construction.
+// of bulk construction. A full-scan twin on the same CNet checks after
+// every step that the local repair made exactly the recalculations a scan
+// of the whole network would.
 func FuzzUpdateTimeSlot(f *testing.F) {
 	f.Add(byte(0), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(byte(1), []byte{0, 0, 0, 0x85, 1, 1, 0x90, 2})
@@ -27,7 +29,7 @@ func FuzzUpdateTimeSlot(f *testing.F) {
 			cond = ConditionPaper
 		}
 		c := cnet.New(0, nil)
-		a := New(c, cond)
+		a, twin := New(c, cond), fullScan{New(c, cond)}
 		next := graph.NodeID(1)
 		for _, op := range ops {
 			if op < 0x80 || c.Size() <= 2 {
@@ -46,6 +48,9 @@ func FuzzUpdateTimeSlot(f *testing.F) {
 				}
 				if err := a.OnJoin(next); err != nil {
 					t.Fatalf("slots after join %d: %v", next, err)
+				}
+				if err := twin.OnJoin(next); err != nil {
+					t.Fatalf("full scan after join %d: %v", next, err)
 				}
 				next++
 			} else {
@@ -69,12 +74,18 @@ func FuzzUpdateTimeSlot(f *testing.F) {
 					if err := a.OnMoveOut(rec); err != nil {
 						t.Fatalf("slots after leave %d: %v", cand, err)
 					}
+					if err := twin.OnMoveOut(rec); err != nil {
+						t.Fatalf("full scan after leave %d: %v", cand, err)
+					}
 					removed = true
 					break
 				}
 				if !removed {
 					continue
 				}
+			}
+			if err := sameAsFullScan(a, twin); err != nil {
+				t.Fatalf("local repair after step: %v", err)
 			}
 			if err := a.Verify(); err != nil {
 				t.Fatalf("collision-freedom after step: %v", err)

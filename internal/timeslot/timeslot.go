@@ -25,10 +25,25 @@
 // node-move-out, and every recalculation is charged its Procedure-1 round
 // cost (Lemma 2) so reconfiguration experiments can report maintenance
 // rounds.
+//
+// The repair after an update is local, as the paper's is. An Assignment
+// keeps, per slot kind, a dirty set of receivers to re-check, under one
+// invariant: every receiver whose condition may fail is dirty. A receiver's
+// condition reads only the slots of its G-neighbors and the structure
+// around it, so the work that can break it marks it: recalculating or
+// clearing y's slot marks y and its G-neighbors, OnJoin marks the closed
+// neighborhoods of the joiner, its parent and its grandparent, and
+// OnMoveOut those of the departed node's neighbors, the re-inserted nodes
+// and their parents and grandparents. AssignAll and OnCrash mark every
+// node. Repair visits the dirty receivers in ascending ID, exactly the
+// receivers a full scan would find violated, in the same order, so it
+// makes the same recalculations and yields the same slots, Rounds and
+// Recalcs as re-checking every node after every update.
 package timeslot
 
 import (
 	"fmt"
+	"slices"
 
 	"dynsens/internal/cnet"
 	"dynsens/internal/graph"
@@ -97,6 +112,21 @@ type Assignment struct {
 	calcSetBuf []graph.NodeID
 	slotBuf    []int
 	forbidden  map[int]struct{}
+	candBuf    []graph.NodeID
+
+	// dirty[k] lists the receivers of kind k the next repair re-checks
+	// (unsorted, may repeat); all stands for every node of every kind.
+	// Between updates both are empty: every condition holds.
+	dirty [3][]graph.NodeID
+	all   bool
+	// queue is repair's visit order for the kind being swept, a min-heap.
+	// While sweeping, a mark of that kind above cursor joins the queue, so
+	// the sweep reaches it in the same pass as a full scan would; any
+	// other mark waits in dirty for the next pass.
+	queue     idHeap
+	sweeping  bool
+	sweepKind Kind
+	cursor    graph.NodeID
 }
 
 // New creates an assignment for net and computes slots for the current
@@ -375,6 +405,7 @@ func (a *Assignment) calculate(k Kind, y graph.NodeID) {
 	a.slot[k][y] = s
 	a.rounds += 1 + len(aud)
 	a.recalcs++
+	a.markAround(k, y)
 }
 
 // ensure assigns a slot to y if it transmits in kind k and lacks one, and
@@ -384,56 +415,167 @@ func (a *Assignment) ensure(k Kind, y graph.NodeID) {
 		if _, ok := a.slot[k][y]; !ok {
 			a.calculate(k, y)
 		}
-	} else {
+	} else if _, ok := a.slot[k][y]; ok {
 		delete(a.slot[k], y)
+		a.markAround(k, y)
 	}
 }
 
-// repair re-establishes the conditions for every receiver by recalculating
-// the slots of offending transmitters until a fixpoint. Procedure 1's
-// post-condition guarantees each recalculation fixes all of its audience
-// without breaking receivers outside it, so the loop converges; the bound
-// guards against bugs.
+// --- dirty receivers --------------------------------------------------------
+
+// markAll makes the next repair re-check every node of every kind.
+func (a *Assignment) markAll() {
+	a.all = true
+	for k := range a.dirty {
+		a.dirty[k] = a.dirty[k][:0]
+	}
+}
+
+// mark makes the next repair re-check receiver v of kind k.
+func (a *Assignment) mark(k Kind, v graph.NodeID) {
+	switch {
+	case a.all:
+	case a.sweeping && k == a.sweepKind && v > a.cursor:
+		a.queue.push(v)
+	default:
+		a.dirty[k] = append(a.dirty[k], v)
+	}
+}
+
+// markAround marks y and its G-neighbors for kind k: every receiver whose
+// interference set can contain y.
+func (a *Assignment) markAround(k Kind, y graph.NodeID) {
+	if a.all {
+		return
+	}
+	a.mark(k, y)
+	for _, v := range a.net.Graph().Neighbors(y) {
+		a.mark(k, v)
+	}
+}
+
+// markClosed marks the closed neighborhood of y for every kind.
+func (a *Assignment) markClosed(y graph.NodeID) {
+	for _, k := range []Kind{B, L, U} {
+		a.markAround(k, y)
+	}
+}
+
+// idHeap is a binary min-heap of node IDs. An ascending slice is a valid
+// heap.
+type idHeap []graph.NodeID
+
+func (h *idHeap) push(v graph.NodeID) {
+	q := append(*h, v)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p] <= q[i] {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+	*h = q
+}
+
+func (h *idHeap) pop() graph.NodeID {
+	q := *h
+	v := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1] < q[c] {
+			c++
+		}
+		if q[i] <= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return v
+}
+
+// repair re-establishes the conditions for every dirty receiver by
+// recalculating the slots of offending transmitters until a fixpoint, in
+// passes over the kinds, each visiting its dirty receivers in ascending
+// ID. Procedure 1's post-condition guarantees each recalculation fixes
+// all of its audience without breaking receivers outside it, so the loop
+// converges; the bound guards against bugs. On failure every node is
+// marked, so a later repair starts from a full scan.
 func (a *Assignment) repair() error {
-	kinds := []Kind{B, L, U}
+	full := a.all
+	a.all = false
 	limit := 3*a.net.Size() + 10
 	for iter := 0; iter < limit; iter++ {
 		fixed := false
-		for _, k := range kinds {
-			for _, v := range a.net.Tree().Nodes() {
-				if !a.IsReceiver(k, v) || a.conditionHolds(k, v) {
-					continue
-				}
-				// Recalculate v's parent if it is in the set, else the
-				// first transmitter v hears.
-				set := a.InterferenceSet(k, v)
-				if len(set) == 0 {
-					return fmt.Errorf("timeslot: receiver %d hears no %v transmitter", v, k)
-				}
-				target := set[0]
-				if p, ok := a.net.Tree().Parent(v); ok {
-					for _, t := range set {
-						if t == p {
-							target = p
-							break
-						}
-					}
-				}
-				a.calculate(k, target)
-				fixed = true
+		for _, k := range []Kind{B, L, U} {
+			f, err := a.sweep(k, full && iter == 0)
+			if err != nil {
+				a.markAll()
+				return err
 			}
+			fixed = fixed || f
 		}
 		if !fixed {
 			return nil
 		}
 	}
+	a.markAll()
 	return fmt.Errorf("timeslot: repair did not converge within %d iterations", limit)
+}
+
+// sweep is one repair pass over kind k: it visits the dirty receivers
+// (every node when full) in ascending ID, recalculating a transmitter for
+// each whose condition fails, and reports whether it recalculated any.
+func (a *Assignment) sweep(k Kind, full bool) (fixed bool, err error) {
+	if full {
+		a.queue = append(a.queue[:0], a.net.Tree().Nodes()...)
+	} else {
+		a.queue = append(a.queue[:0], a.dirty[k]...)
+		slices.Sort(a.queue)
+	}
+	a.dirty[k] = a.dirty[k][:0]
+	a.sweeping, a.sweepKind = true, k
+	defer func() { a.sweeping = false }()
+	visited := false
+	for len(a.queue) > 0 {
+		v := a.queue.pop()
+		if visited && v == a.cursor {
+			continue // marked twice
+		}
+		visited, a.cursor = true, v
+		if !a.IsReceiver(k, v) || a.conditionHolds(k, v) {
+			continue
+		}
+		// Recalculate v's parent if it is in the set, else the first
+		// transmitter v hears.
+		a.setBuf = a.AppendInterferenceSet(a.setBuf[:0], k, v)
+		set := a.setBuf
+		if len(set) == 0 {
+			return fixed, fmt.Errorf("timeslot: receiver %d hears no %v transmitter", v, k)
+		}
+		target := set[0]
+		if p, ok := a.net.Tree().Parent(v); ok && slices.Contains(set, p) {
+			target = p
+		}
+		a.calculate(k, target)
+		fixed = true
+	}
+	return fixed, nil
 }
 
 // AssignAll recomputes every slot from scratch: transmitters are processed
 // in BFS order (top-down) with Procedure 1, then conditions are verified
 // and repaired. Use after bulk construction or a root rebuild.
 func (a *Assignment) AssignAll() {
+	a.markAll()
 	for _, k := range []Kind{B, L, U} {
 		a.slot[k] = make(map[graph.NodeID]int)
 	}
@@ -461,8 +603,12 @@ func (a *Assignment) OnJoin(id graph.NodeID) error {
 	if !tr.Contains(id) {
 		return fmt.Errorf("timeslot: OnJoin for unknown node %d", id)
 	}
+	// Only the joiner, its parent and its grandparent change role, so
+	// only receivers in their closed neighborhoods can be affected.
 	w, hasParent := tr.Parent(id)
+	a.markClosed(id)
 	if hasParent {
+		a.markClosed(w)
 		// The parent may have gained a transmitter role (leaf -> internal,
 		// or first member child / first backbone child).
 		for _, k := range []Kind{B, L, U} {
@@ -471,6 +617,7 @@ func (a *Assignment) OnJoin(id graph.NodeID) error {
 		// A promoted member (now gateway) must newly satisfy the backbone
 		// receive condition; the grandparent may need a b-slot for that.
 		if gp, ok := tr.Parent(w); ok {
+			a.markClosed(gp)
 			for _, k := range []Kind{B, L, U} {
 				a.ensure(k, gp)
 			}
@@ -490,6 +637,11 @@ func (a *Assignment) OnJoin(id graph.NodeID) error {
 // OnJoin in their re-insertion order, stale transmitter slots are cleared,
 // and the conditions are repaired — mirroring the paper's recalculation of
 // the P(x) sets along the Euler tour.
+//
+// Only the departed node's neighbors, the re-inserted nodes and their
+// parents and grandparents can have gained or lost a transmitter role, so
+// only they are swept for stale or missing slots, in ascending ID; their
+// closed neighborhoods are the receivers marked for repair.
 func (a *Assignment) OnMoveOut(rec cnet.MoveOutRecord) error {
 	if rec.RootChanged {
 		// The structure was rebuilt from a new sink; start over.
@@ -502,9 +654,29 @@ func (a *Assignment) OnMoveOut(rec cnet.MoveOutRecord) error {
 			delete(a.slot[k], x)
 		}
 	}
+	tr := a.net.Tree()
+	cands := append(a.candBuf[:0], rec.Neighbors...)
+	for _, x := range rec.Reinserted {
+		cands = append(cands, x)
+		if p, ok := tr.Parent(x); ok {
+			cands = append(cands, p)
+			if gp, ok := tr.Parent(p); ok {
+				cands = append(cands, gp)
+			}
+		}
+	}
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
+	a.candBuf = cands
+	if a.all {
+		cands = tr.Nodes()
+	}
+	for _, id := range cands {
+		a.markClosed(id)
+	}
 	// Clear slots of nodes that lost their transmitter role (e.g. a head
 	// whose only member left) and assign to nodes that gained one.
-	for _, id := range a.net.Tree().Nodes() {
+	for _, id := range cands {
 		for _, k := range []Kind{B, L, U} {
 			a.ensure(k, id)
 		}
@@ -525,6 +697,7 @@ func (a *Assignment) OnCrash(rec cnet.CrashRecord) error {
 		a.AssignAll()
 		return nil
 	}
+	a.markAll()
 	tr := a.net.Tree()
 	for _, k := range []Kind{B, L, U} {
 		for id := range a.slot[k] {
