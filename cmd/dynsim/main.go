@@ -231,6 +231,15 @@ func flightDelta(d cnet.Delta) flight.Delta {
 }
 
 func run(cfg runConfig) error {
+	if cfg.Channels < 1 {
+		return fmt.Errorf("-channels %d: need at least 1", cfg.Channels)
+	}
+	if cfg.FailFrac < 0 || cfg.FailFrac > 1 {
+		return fmt.Errorf("-failfrac %v: out of [0,1]", cfg.FailFrac)
+	}
+	if cfg.GroupFrac < 0 || cfg.GroupFrac > 1 {
+		return fmt.Errorf("-groupfrac %v: out of [0,1]", cfg.GroupFrac)
+	}
 	d, err := workload.IncrementalConnected(workload.PaperConfig(cfg.Seed, cfg.Side, cfg.N))
 	if err != nil {
 		return err
@@ -307,16 +316,18 @@ func run(cfg runConfig) error {
 		}
 	}
 	if cfg.Verbose {
-		opts.Trace = func(ev radio.Event) {
-			switch ev.Kind {
-			case radio.EvTransmit:
-				fmt.Printf("  r%-4d tx   node %d ch %d\n", ev.Round, ev.Node, ev.Channel)
-			case radio.EvDeliver:
-				fmt.Printf("  r%-4d rx   node %d <- %d ch %d\n", ev.Round, ev.Node, ev.Peer, ev.Channel)
-			case radio.EvCollision:
-				fmt.Printf("  r%-4d coll node %d ch %d\n", ev.Round, ev.Node, ev.Channel)
-			case radio.EvNodeFail:
-				fmt.Printf("  r%-4d DIED node %d\n", ev.Round, ev.Node)
+		opts.TraceBatch = func(evs []radio.Event) {
+			for _, ev := range evs {
+				switch ev.Kind {
+				case radio.EvTransmit:
+					fmt.Printf("  r%-4d tx   node %d ch %d\n", ev.Round, ev.Node, ev.Channel)
+				case radio.EvDeliver:
+					fmt.Printf("  r%-4d rx   node %d <- %d ch %d\n", ev.Round, ev.Node, ev.Peer, ev.Channel)
+				case radio.EvCollision:
+					fmt.Printf("  r%-4d coll node %d ch %d\n", ev.Round, ev.Node, ev.Channel)
+				case radio.EvNodeFail:
+					fmt.Printf("  r%-4d DIED node %d\n", ev.Round, ev.Node)
+				}
 			}
 		}
 	}
@@ -328,7 +339,7 @@ func run(cfg runConfig) error {
 		}
 		defer eventsFile.Close()
 		sink := obs.NewEventSink(eventsFile)
-		opts.Trace = obs.ChainHooks(opts.Trace, sink.Hook())
+		opts.TraceBatch = obs.ChainBatchHooks(opts.TraceBatch, sink.BatchHook())
 		defer func() {
 			if serr := sink.Err(); serr != nil {
 				fmt.Fprintf(os.Stderr, "dynsim: event sink: %v\n", serr)
@@ -376,7 +387,7 @@ func run(cfg runConfig) error {
 		for _, f := range opts.Failures {
 			gfails = append(gfails, gather.Failure{Node: f.Node, Round: f.Round})
 		}
-		gm, err := net.Gather(values, gather.Options{Failures: gfails, Workers: cfg.Workers, Perf: perf})
+		gm, err := net.Gather(values, gather.Options{Failures: gfails, Workers: cfg.Workers, Perf: perf, TraceBatch: opts.TraceBatch})
 		if err != nil {
 			return err
 		}

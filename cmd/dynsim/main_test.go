@@ -252,6 +252,56 @@ func TestRecordRejectsGather(t *testing.T) {
 	}
 }
 
+// TestGatherWritesEvents checks that -events reaches the gather run, which
+// builds its own engine options.
+func TestGatherWritesEvents(t *testing.T) {
+	c := cfg("gather")
+	c.EventsPath = filepath.Join(t.TempDir(), "g.jsonl")
+	if err := run(c); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(c.EventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, []byte(`{"eseq":`)) {
+		t.Fatalf("gather -events file does not start with an event line: %q", b[:min(len(b), 40)])
+	}
+}
+
+// TestRunRejectsBadFlags checks that out-of-range flags fail before the
+// run, naming the flag, instead of being clamped.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		set  func(*runConfig)
+	}{
+		{"-channels", func(c *runConfig) { c.Channels = 0 }},
+		{"-channels", func(c *runConfig) { c.Channels = -1 }},
+		{"-failfrac", func(c *runConfig) { c.FailFrac = -0.1 }},
+		{"-failfrac", func(c *runConfig) { c.FailFrac = 1.5 }},
+		{"-groupfrac", func(c *runConfig) { c.GroupFrac = -1 }},
+		{"-groupfrac", func(c *runConfig) { c.GroupFrac = 7 }},
+	} {
+		c := cfg("multicast")
+		c.RecordPath = filepath.Join(t.TempDir(), "bad.dsfr")
+		tc.set(&c)
+		err := run(c)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%+v: got error %v, want one naming %s", c, err, tc.flag)
+		}
+		if _, serr := os.Stat(c.RecordPath); serr == nil {
+			t.Errorf("%s: recording written despite the bad flag", tc.flag)
+		}
+	}
+	// The edges of the ranges stay valid.
+	c := cfg("multicast")
+	c.FailFrac, c.GroupFrac = 1, 1
+	if err := run(c); err != nil {
+		t.Fatalf("failfrac=1 groupfrac=1: %v", err)
+	}
+}
+
 func TestMetricsJSONAndStdout(t *testing.T) {
 	c := cfg("dfo")
 	c.MetricsPath = filepath.Join(t.TempDir(), "m.json")

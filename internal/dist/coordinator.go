@@ -21,8 +21,8 @@ const DefaultRoundTimeout = 10 * time.Second
 // node's action) and Finish (apply the resolved delivery, collect the Done
 // bit). Audibility, collision resolution and loss coins come from the same
 // internal/radio/rounds core and the same graph adjacency the in-process
-// kernel uses, and events flow into the same trace hooks, so Run's Result,
-// event stream (Event.Seq included) and any recording hung off the hooks
+// kernel uses, and events flow into the same trace hook, so Run's Result,
+// event stream (Event.Seq included) and any recording hung off the hook
 // are byte-identical to radio.Engine.Run for the same seed and scenario —
 // the distributed runtime's equivalence obligation. A scripted Nemesis
 // (crashes, healing partitions; loss via SetLoss) and the unscripted faults
@@ -44,7 +44,6 @@ type Coordinator struct {
 	nemesis  Nemesis
 	timeout  time.Duration
 
-	trace      func(radio.Event)
 	traceBatch func([]radio.Event)
 	one        [1]radio.Event
 	seq        uint64
@@ -116,13 +115,9 @@ func pump(l *nodeLink) {
 	}
 }
 
-// SetTrace installs a per-event trace callback (nil disables it), with the
+// SetTraceBatch installs the trace callback (nil disables it) with the
 // engine's contract: called on the Run goroutine, in the deterministic
-// event order.
-func (c *Coordinator) SetTrace(fn func(radio.Event)) { c.trace = fn }
-
-// SetTraceBatch installs a batched trace callback with the engine's
-// contract; the coordinator hands over single-event batches.
+// event order. The coordinator hands over single-event batches.
 func (c *Coordinator) SetTraceBatch(fn func([]radio.Event)) { c.traceBatch = fn }
 
 // FailNodeAt schedules node id to die at the start of round r, exactly as
@@ -186,9 +181,6 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) emit(ev radio.Event) {
 	c.seq++
 	ev.Seq = c.seq
-	if c.trace != nil {
-		c.trace(ev)
-	}
 	if c.traceBatch != nil {
 		c.one[0] = ev
 		c.traceBatch(c.one[:])

@@ -104,21 +104,12 @@ func lineGraph(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-// collect captures both the per-event and the batched trace streams and
-// cross-checks them: concatenated batches must equal the per-event stream.
+// collect captures a run's trace stream: the concatenated batches.
 type collect struct {
-	events  []radio.Event
-	batched []radio.Event
+	events []radio.Event
 }
 
-func (c *collect) hook(ev radio.Event)     { c.events = append(c.events, ev) }
-func (c *collect) batch(evs []radio.Event) { c.batched = append(c.batched, evs...) }
-func (c *collect) check(t *testing.T) {
-	t.Helper()
-	if !reflect.DeepEqual(c.events, c.batched) {
-		t.Fatalf("batched trace diverges from per-event trace")
-	}
-}
+func (c *collect) batch(evs []radio.Event) { c.events = append(c.events, evs...) }
 
 // scenario configures one equivalence case; apply runs the same schedule
 // into the kernel engine and the distributed coordinator.
@@ -161,7 +152,6 @@ func (sc *scenario) runKernel(t *testing.T, progs map[graph.NodeID]radio.Program
 		t.Fatal(err)
 	}
 	var c collect
-	eng.SetTrace(c.hook)
 	eng.SetTraceBatch(c.batch)
 	for id, r := range sc.nodeFail {
 		eng.FailNodeAt(id, r)
@@ -178,7 +168,6 @@ func (sc *scenario) runKernel(t *testing.T, progs map[graph.NodeID]radio.Program
 		}
 	}
 	res := eng.Run(sc.maxRounds)
-	c.check(t)
 	return res, &c
 }
 
@@ -190,7 +179,6 @@ func (sc *scenario) runDist(t *testing.T, progs map[graph.NodeID]radio.Program) 
 	}
 	defer coord.Close()
 	var c collect
-	coord.SetTrace(c.hook)
 	coord.SetTraceBatch(c.batch)
 	for id, r := range sc.nodeFail {
 		coord.FailNodeAt(id, r)
@@ -210,7 +198,6 @@ func (sc *scenario) runDist(t *testing.T, progs map[graph.NodeID]radio.Program) 
 	if err := coord.Err(); err != nil {
 		t.Fatalf("coordinator absorbed a fault on an undisturbed run: %v", err)
 	}
-	c.check(t)
 	return res, &c
 }
 
@@ -288,7 +275,7 @@ func TestBarrierTimeoutMatchesKernelCrash(t *testing.T) {
 	defer coord.Close()
 	coord.SetRoundTimeout(200 * time.Millisecond)
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.batch)
 	dRes := coord.Run(sc.maxRounds)
 	if coord.Err() == nil {
 		t.Fatal("coordinator did not record the barrier timeout")
@@ -318,7 +305,7 @@ func TestNemesisPartitionHeals(t *testing.T) {
 	}
 	defer coord.Close()
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.batch)
 	coord.SetNemesis(dist.Nemesis{
 		Partitions: []dist.Partition{{From: 2, To: 3, Side: []graph.NodeID{0}}},
 	})
@@ -364,7 +351,7 @@ func TestNemesisCrashMatchesFailNodeAt(t *testing.T) {
 	defer coord.Close()
 	coord.SetNemesis(dist.Nemesis{Crashes: []dist.Crash{{Node: 3, Round: 5}}})
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.batch)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err != nil {
 		t.Fatal(err)
@@ -401,7 +388,7 @@ func TestTCPFleetMatchesKernel(t *testing.T) {
 	}
 	defer coord.Close()
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.batch)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err != nil {
 		t.Fatal(err)
@@ -511,7 +498,7 @@ func TestProcFleetMatchesKernel(t *testing.T) {
 	}
 	coord.MirrorDeliveries(progs)
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.batch)
 	dRes := coord.Run(sc.maxRounds)
 	if err := coord.Err(); err != nil {
 		t.Fatal(err)
@@ -555,7 +542,7 @@ func TestProcFleetNodeDeathMidRound(t *testing.T) {
 	defer coord.Close()
 	coord.SetRoundTimeout(5 * time.Second)
 	var c collect
-	coord.SetTrace(c.hook)
+	coord.SetTraceBatch(c.batch)
 	dRes := coord.Run(sc.maxRounds)
 	if coord.Err() == nil {
 		t.Fatal("coordinator did not record the process death")

@@ -96,10 +96,10 @@ func TestEventSinkJSONLMatchesCounters(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewEventSink(&buf)
 	_, err := broadcast.RunICFF(a, a.Net().Root(), broadcast.Options{
-		Obs:      reg,
-		Trace:    sink.Hook(),
-		LossRate: 0.05,
-		LossSeed: 9,
+		Obs:        reg,
+		TraceBatch: sink.BatchHook(),
+		LossRate:   0.05,
+		LossSeed:   9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,4 +136,26 @@ func TestEventSinkJSONLMatchesCounters(t *testing.T) {
 			t.Errorf("%s: sink saw %d %q events, registry %d", name, kinds[kind], kind, want)
 		}
 	}
+}
+
+// TestEventSinkJSONLGolden pins the sink's JSONL bytes for one small lossy
+// ICFF run with two node deaths, so any change to event order, numbering
+// or field encoding shows up as a diff.
+func TestEventSinkJSONLGolden(t *testing.T) {
+	a := build(t, 5, 30)
+	var buf bytes.Buffer
+	sink := obs.NewEventSink(&buf)
+	_, err := broadcast.RunICFF(a, a.Net().Root(), broadcast.Options{
+		TraceBatch: sink.BatchHook(),
+		Failures:   []broadcast.NodeFailure{{Node: 7, Round: 3}, {Node: 12, Round: 6}},
+		LossRate:   0.1,
+		LossSeed:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	obs.CompareGolden(t, "events.jsonl.golden", buf.Bytes())
 }

@@ -37,7 +37,7 @@ import (
 // shard's buffer from its base. Because shards are contiguous ascending ID
 // ranges filled in ascending node order, concatenating the buffers in shard
 // order reproduces the reference event stream exactly — same order, same
-// Seq — and the serial steps hand each stamped buffer to the trace hooks on
+// Seq — and the serial steps hand each stamped buffer to the trace hook on
 // the Run goroutine. Traces, obs counters and flight recordings come out
 // byte-identical at any worker count.
 //
@@ -238,7 +238,7 @@ func (e *Engine) newKernel() *kernel {
 		awake:     make([]int, n),
 		listens:   make([]int, n),
 		transmits: make([]int, n),
-		traced:    e.trace != nil || e.traceBatch != nil,
+		traced:    e.traceBatch != nil,
 		perfOn:    e.perf != nil,
 	}
 	for i, id := range nodes {
@@ -457,7 +457,7 @@ func (k *kernel) run(maxRounds int) Result {
 		clk.lap(&k.perfPhaseNs[perfResolve])
 
 		// Serial stitch B: hand the stamped transmit buffers to the trace
-		// hooks in shard order, prefix-sum the rx-event counts into bases,
+		// hook in shard order, prefix-sum the rx-event counts into bases,
 		// and fold the shard tallies into the Result.
 		rxTotal := 0
 		for s := range k.shards {

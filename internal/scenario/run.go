@@ -400,7 +400,7 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	// Timeline capture, when the scenario pins a golden timeline.
 	var events []radio.Event
 	if s.GoldenTimeline != "" {
-		o.Trace = func(ev radio.Event) { events = append(events, ev) }
+		o.TraceBatch = func(evs []radio.Event) { events = append(events, evs...) }
 	}
 
 	res := &Result{Scenario: s}
@@ -494,7 +494,7 @@ func runProtocol(net *core.Network, s *Scenario, o broadcast.Options, workers in
 		for _, f := range o.Failures {
 			gfails = append(gfails, gather.Failure{Node: f.Node, Round: f.Round})
 		}
-		gm, gerr := net.Gather(values, gather.Options{Failures: gfails, Workers: workers, Trace: o.Trace})
+		gm, gerr := net.Gather(values, gather.Options{Failures: gfails, Workers: workers, TraceBatch: o.TraceBatch})
 		if gerr != nil {
 			return Measured{}, gerr
 		}

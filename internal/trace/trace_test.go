@@ -6,6 +6,7 @@ import (
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
+	"dynsens/internal/obs"
 	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
@@ -20,7 +21,7 @@ func TestRecorderCollectsBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := NewRecorder(0)
-	m, err := net.Broadcast(net.Root(), broadcast.Options{Trace: rec.Hook()})
+	m, err := net.Broadcast(net.Root(), broadcast.Options{TraceBatch: rec.BatchHook()})
 	if err != nil || !m.Completed {
 		t.Fatalf("broadcast: %v %s", err, m)
 	}
@@ -49,9 +50,9 @@ func TestRecorderCollectsBroadcast(t *testing.T) {
 
 func TestRecorderLimitAndReset(t *testing.T) {
 	rec := NewRecorder(2)
-	hook := rec.Hook()
+	hook := rec.BatchHook()
 	for i := 0; i < 5; i++ {
-		hook(radio.Event{Round: i + 1, Kind: radio.EvTransmit})
+		hook([]radio.Event{{Round: i + 1, Kind: radio.EvTransmit}})
 	}
 	if rec.Len() != 2 || rec.Dropped() != 3 {
 		t.Fatalf("len=%d dropped=%d", rec.Len(), rec.Dropped())
@@ -69,13 +70,47 @@ func TestRecorderLimitAndReset(t *testing.T) {
 	}
 }
 
+// TestRecorderBatchStraddlesLimit feeds one batch that crosses the limit:
+// the recorder keeps its head, counts its tail as dropped, and drops every
+// later batch whole.
+func TestRecorderBatchStraddlesLimit(t *testing.T) {
+	rec := NewRecorder(5)
+	reg := obs.NewRegistry()
+	rec.Instrument(reg)
+	hook := rec.BatchHook()
+	batch := make([]radio.Event, 4)
+	for i := range batch {
+		batch[i] = radio.Event{Seq: uint64(i + 1), Round: 1, Kind: radio.EvTransmit}
+	}
+	hook(batch[:3])
+	hook(batch) // 2 fit, 2 past the limit
+	if rec.Len() != 5 || rec.Dropped() != 2 {
+		t.Fatalf("after straddling batch: len=%d dropped=%d, want 5 and 2", rec.Len(), rec.Dropped())
+	}
+	if got := rec.Events()[4].Seq; got != 2 {
+		t.Fatalf("last kept event has Seq %d, want 2 (the batch's head)", got)
+	}
+	hook(batch[:3])
+	if rec.Len() != 5 || rec.Dropped() != 5 {
+		t.Fatalf("after full: len=%d dropped=%d, want 5 and 5", rec.Len(), rec.Dropped())
+	}
+	if v, _ := reg.Snapshot().CounterValue(MetricTraceEventsDropped); v != 5 {
+		t.Fatalf("dropped counter = %d, want 5", v)
+	}
+	batch[0].Seq = 99 // the engine reuses its buffer; kept events are copies
+	if rec.Events()[0].Seq != 1 {
+		t.Fatal("recorder aliases the caller's batch")
+	}
+}
+
 func TestChannelLoad(t *testing.T) {
 	rec := NewRecorder(0)
-	hook := rec.Hook()
-	hook(radio.Event{Round: 1, Kind: radio.EvTransmit, Channel: 0})
-	hook(radio.Event{Round: 1, Kind: radio.EvTransmit, Channel: 1})
-	hook(radio.Event{Round: 2, Kind: radio.EvTransmit, Channel: 1})
-	hook(radio.Event{Round: 2, Kind: radio.EvDeliver, Channel: 1})
+	rec.BatchHook()([]radio.Event{
+		{Round: 1, Kind: radio.EvTransmit, Channel: 0},
+		{Round: 1, Kind: radio.EvTransmit, Channel: 1},
+		{Round: 2, Kind: radio.EvTransmit, Channel: 1},
+		{Round: 2, Kind: radio.EvDeliver, Channel: 1},
+	})
 	load := rec.ChannelLoad()
 	if load[0] != 1 || load[1] != 2 {
 		t.Fatalf("load = %v", load)
@@ -84,12 +119,13 @@ func TestChannelLoad(t *testing.T) {
 
 func TestRenderAllKinds(t *testing.T) {
 	rec := NewRecorder(0)
-	hook := rec.Hook()
-	hook(radio.Event{Round: 1, Kind: radio.EvTransmit, Node: 1})
-	hook(radio.Event{Round: 1, Kind: radio.EvDeliver, Node: 2, Peer: 1})
-	hook(radio.Event{Round: 2, Kind: radio.EvCollision, Node: 3})
-	hook(radio.Event{Round: 2, Kind: radio.EvNodeFail, Node: 4})
-	hook(radio.Event{Round: 3, Kind: radio.EvLinkFail, Node: 5, Peer: 6})
+	rec.BatchHook()([]radio.Event{
+		{Round: 1, Kind: radio.EvTransmit, Node: 1},
+		{Round: 1, Kind: radio.EvDeliver, Node: 2, Peer: 1},
+		{Round: 2, Kind: radio.EvCollision, Node: 3},
+		{Round: 2, Kind: radio.EvNodeFail, Node: 4},
+		{Round: 3, Kind: radio.EvLinkFail, Node: 5, Peer: 6},
+	})
 	var b strings.Builder
 	if err := rec.Render(&b); err != nil {
 		t.Fatal(err)

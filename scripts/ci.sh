@@ -83,13 +83,22 @@ echo "== replay smoke"
 # Record a 200-node run with mid-broadcast failures, then replay it
 # offline: the paper-invariant verifier must pass and the Chrome trace
 # export must be valid JSON (docs/observability.md, "Tracing & flight
-# recording").
+# recording"). The same run also writes its JSONL event stream; the two
+# sinks share the engine's trace hook, so the JSONL line count must equal
+# the recording's event count.
 replay_dir=$(mktemp -d)
 trap 'rm -rf "$replay_dir"' EXIT
-go run ./cmd/dynsim -n 200 -side 10 -seed 7 -failfrac 0.1 -record "$replay_dir/run.dsfr" > /dev/null
+go run ./cmd/dynsim -n 200 -side 10 -seed 7 -failfrac 0.1 -record "$replay_dir/run.dsfr" \
+    -events "$replay_dir/events.jsonl" > /dev/null
 go run ./cmd/nettool replay -chrome-trace "$replay_dir/trace.json" "$replay_dir/run.dsfr" | tee "$replay_dir/replay.txt"
 grep -q 'verifier: PASS' "$replay_dir/replay.txt"
 go run ./scripts/jsoncheck "$replay_dir/trace.json"
+recorded=$(sed -n 's/^contents:.*, \([0-9][0-9]*\) events$/\1/p' "$replay_dir/replay.txt")
+jsonl=$(wc -l < "$replay_dir/events.jsonl" | tr -d " ")
+if [ -z "$recorded" ] || [ "$recorded" -ne "$jsonl" ]; then
+    echo "replay smoke: recording has ${recorded:-no} events, JSONL has $jsonl lines" >&2
+    exit 1
+fi
 
 echo "== scenario smoke"
 # One scenario recorded live, then re-verified offline from the .dsfr
