@@ -1,15 +1,13 @@
 // Command dnode is one actor node of the distributed runtime: it loads
 // the same .dsn scenario file as the coordinator, deterministically
 // rebuilds the identical deployment and broadcast plan, picks out its
-// assigned node's Program, and serves it over the frame protocol — on
-// stdin/stdout by default (the shape dist.ProcFleet expects, as wired by
-// `dynsim -runtime dist -dnode`), or by dialing a TCP coordinator with
-// -addr.
+// assigned node's Program, and serves it over the frame protocol on
+// stdin/stdout (the shape dist.ProcFleet expects, as wired by
+// `dynsim -runtime dist -dnode`).
 //
-// Examples:
+// Example:
 //
 //	dnode -scenario run.dsn -node 7
-//	dnode -scenario run.dsn -node 7 -addr 127.0.0.1:9000
 package main
 
 import (
@@ -27,16 +25,15 @@ func main() {
 	var (
 		scenarioPath = flag.String("scenario", "", "the .dsn scenario file the coordinator is running (required)")
 		node         = flag.Int("node", -1, "node ID to serve (required)")
-		addr         = flag.String("addr", "", "dial a TCP coordinator here instead of serving stdin/stdout")
 	)
 	flag.Parse()
-	if err := run(*scenarioPath, *node, *addr); err != nil {
+	if err := run(*scenarioPath, *node); err != nil {
 		fmt.Fprintf(os.Stderr, "dnode: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(scenarioPath string, node int, addr string) error {
+func run(scenarioPath string, node int) error {
 	if scenarioPath == "" || node < 0 {
 		return fmt.Errorf("-scenario and -node are required")
 	}
@@ -52,9 +49,6 @@ func run(scenarioPath string, node int, addr string) error {
 	prog := plan.Programs[id]
 	if prog == nil {
 		return fmt.Errorf("scenario %s has no program for node %d", s.Name(), id)
-	}
-	if addr != "" {
-		return dist.DialNode(addr, id, prog)
 	}
 	// Stdio transport: the coordinator's ProcFleet owns both pipe ends and
 	// the process lifecycle; the serve loop exits on stdin EOF or Halt.

@@ -1,7 +1,10 @@
 // Command dynsim runs one simulated scenario: it deploys a sensor network,
 // builds the cluster structure, assigns time-slots, runs a broadcast or
 // multicast, and prints structural statistics and measured protocol
-// metrics.
+// metrics. The flags describe a one-off scenario (see docs/scenarios.md
+// for the flag-to-spec-key table); -scenario runs a .dsn file instead.
+// Both go through the same scenario runner and honour the same output
+// flags.
 //
 // Examples:
 //
@@ -15,53 +18,29 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/exec"
-	"strings"
 	"time"
 
 	"dynsens/internal/broadcast"
-	"dynsens/internal/cnet"
-	"dynsens/internal/core"
 	"dynsens/internal/dist"
-	"dynsens/internal/flight"
-	"dynsens/internal/gather"
 	"dynsens/internal/graph"
-	"dynsens/internal/netio"
 	"dynsens/internal/obs"
 	obsperf "dynsens/internal/obs/perf"
 	"dynsens/internal/radio"
 	"dynsens/internal/scenario"
-	"dynsens/internal/workload"
 )
 
 func main() {
 	var cfg runConfig
-	flag.IntVar(&cfg.N, "n", 200, "number of nodes")
-	flag.IntVar(&cfg.Side, "side", 10, "region side in 100 m units")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "deployment seed")
-	flag.StringVar(&cfg.Protocol, "protocol", "icff", "icff|cff|dfo|multicast|gather")
-	flag.IntVar(&cfg.Channels, "channels", 1, "radio channels k")
-	flag.IntVar(&cfg.Workers, "workers", 0, "radio engine shard workers (0 = auto; results are identical at any value)")
-	flag.IntVar(&cfg.Source, "source", 0, "broadcast source node ID")
-	flag.Float64Var(&cfg.FailFrac, "failfrac", 0, "fraction of nodes failing mid-broadcast")
-	flag.Float64Var(&cfg.GroupFrac, "groupfrac", 0.2, "multicast group membership probability")
-	flag.BoolVar(&cfg.Verbose, "v", false, "print per-event trace")
-	flag.StringVar(&cfg.MetricsPath, "metrics", "", "write a metrics snapshot here at exit (- for stdout, .json for JSON, else Prometheus text)")
-	flag.StringVar(&cfg.EventsPath, "events", "", "write radio events as JSONL here")
-	flag.StringVar(&cfg.PprofAddr, "pprof", "", "serve net/http/pprof and /metrics on this address during the run")
-	flag.StringVar(&cfg.RecordPath, "record", "", "write a binary flight recording here (replay with: nettool replay)")
-	flag.IntVar(&cfg.RecordRing, "record-ring", 0, "bound the recording to the last N radio events (0 = keep all)")
-	flag.BoolVar(&cfg.Perf, "perf", false, "collect kernel perf introspection and print a per-phase/per-shard summary (results are byte-identical either way)")
-	flag.StringVar(&cfg.Runtime, "runtime", "", "execution runtime: kernel (in-process, default) or dist (message-passing actor nodes; byte-identical results)")
-	flag.StringVar(&cfg.DNode, "dnode", "", "path to a dnode binary: run each node as its own OS process (implies -runtime dist; scenario mode only)")
-	scenarioPath := flag.String("scenario", "", "run a declarative .dsn scenario file instead (exit 1 if an assertion fails; see docs/scenarios.md)")
-	flag.Parse()
+	fs, scenarioPath := flags(&cfg)
+	// ExitOnError: Parse cannot return a non-nil error here.
+	_ = fs.Parse(os.Args[1:])
 
 	switch cfg.Runtime {
 	case "", broadcast.RuntimeKernel, broadcast.RuntimeDist:
@@ -86,41 +65,42 @@ func main() {
 	}
 }
 
-// runScenario executes a .dsn scenario file through the shared scenario
-// runner. The file's spec overrides dynsim's topology/protocol flags;
-// -workers and -record still apply.
+// flags binds dynsim's command line onto cfg; the returned string is the
+// -scenario path.
+func flags(cfg *runConfig) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet("dynsim", flag.ExitOnError)
+	fs.IntVar(&cfg.N, "n", 200, "number of nodes")
+	fs.IntVar(&cfg.Side, "side", 10, "region side in 100 m units")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "deployment seed")
+	fs.StringVar(&cfg.Protocol, "protocol", "icff", "icff|cff|dfo|multicast|gather")
+	fs.IntVar(&cfg.Channels, "channels", 1, "radio channels k")
+	fs.IntVar(&cfg.Workers, "workers", 0, "radio engine shard workers (0 = auto; results are identical at any value)")
+	fs.IntVar(&cfg.Source, "source", 0, "broadcast source node ID")
+	fs.Float64Var(&cfg.FailFrac, "failfrac", 0, "fraction of nodes failing mid-broadcast")
+	fs.Float64Var(&cfg.GroupFrac, "groupfrac", 0.2, "multicast group membership probability")
+	fs.BoolVar(&cfg.Verbose, "v", false, "print per-event trace")
+	fs.StringVar(&cfg.MetricsPath, "metrics", "", "write a metrics snapshot here at exit (- for stdout, .json for JSON, else Prometheus text)")
+	fs.StringVar(&cfg.EventsPath, "events", "", "write radio events as JSONL here")
+	fs.StringVar(&cfg.PprofAddr, "pprof", "", "serve net/http/pprof and /metrics on this address during the run")
+	fs.StringVar(&cfg.RecordPath, "record", "", "write a binary flight recording here (replay with: nettool replay)")
+	fs.IntVar(&cfg.RecordRing, "record-ring", 0, "bound the recording to the last N radio events (0 = keep all)")
+	fs.BoolVar(&cfg.Perf, "perf", false, "collect kernel perf introspection and print a per-phase/per-shard summary (results are byte-identical either way)")
+	fs.StringVar(&cfg.Runtime, "runtime", "", "execution runtime: kernel (in-process, default) or dist (message-passing actor nodes; byte-identical results)")
+	fs.StringVar(&cfg.DNode, "dnode", "", "path to a dnode binary: run each node as its own OS process (implies -runtime dist; scenario mode only)")
+	scenarioPath := fs.String("scenario", "", "run a declarative .dsn scenario file instead (exit 1 if an assertion fails; see docs/scenarios.md)")
+	return fs, scenarioPath
+}
+
+// runScenario executes a .dsn scenario file. The file's spec overrides
+// dynsim's topology/protocol flags; the runtime and output flags still
+// apply. It returns the process exit code.
 func runScenario(path string, cfg runConfig) int {
 	s, err := scenario.Load(path)
+	if err == nil {
+		err = execute(s, cfg)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dynsim: %v\n", err)
-		return 1
-	}
-	opts := scenario.RunOptions{Workers: cfg.Workers, Record: cfg.RecordPath != "", Runtime: cfg.Runtime}
-	if scenario.FlightCapable(s.Spec.Protocol) {
-		opts.Verify = true
-	}
-	if cfg.DNode != "" {
-		opts.Fleet = &dist.ProcFleet{Command: func(id graph.NodeID) *exec.Cmd {
-			return exec.Command(cfg.DNode, "-scenario", path, "-node", fmt.Sprint(id))
-		}}
-	}
-	res, err := scenario.Run(s, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dynsim: %v\n", err)
-		return 1
-	}
-	if err := res.Write(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "dynsim: %v\n", err)
-		return 1
-	}
-	if cfg.RecordPath != "" {
-		if err := os.WriteFile(cfg.RecordPath, res.Recording, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dynsim: %v\n", err)
-			return 1
-		}
-		fmt.Printf("recorded %d bytes to %s\n", len(res.Recording), cfg.RecordPath)
-	}
-	if !res.Passed() {
 		return 1
 	}
 	return 0
@@ -215,76 +195,67 @@ func writeMetrics(reg *obs.Registry, path string) error {
 	return f.Close()
 }
 
-// flightDelta converts a live cnet churn delta to its recorded form.
-func flightDelta(d cnet.Delta) flight.Delta {
-	kind := flight.DeltaMoveIn
-	switch d.Kind {
-	case cnet.DeltaMoveOut:
-		kind = flight.DeltaMoveOut
-	case cnet.DeltaCrash:
-		kind = flight.DeltaCrash
-	}
-	return flight.Delta{
-		Kind: kind, Node: d.Node, Peer: flight.NoParent,
-		Reinserted: d.Reinserted, Dropped: d.Dropped, RootChanged: d.RootChanged,
-	}
+// flagOf names the flag behind each spec key or script verb that flag
+// mode sets and Spec validation can reject.
+var flagOf = map[string]string{
+	"channels":            "-channels",
+	"group-frac":          "-groupfrac",
+	scenario.VerbFailFrac: "-failfrac",
 }
 
-func run(cfg runConfig) error {
-	if cfg.Channels < 1 {
-		return fmt.Errorf("-channels %d: need at least 1", cfg.Channels)
+// scenarioOf maps the flags onto a one-off scenario: the spec a .dsn file
+// with the same settings would hold, and -failfrac as its script.
+func scenarioOf(cfg runConfig) *scenario.Scenario {
+	s := &scenario.Scenario{Spec: scenario.Spec{
+		Name: "dynsim", N: cfg.N, Side: cfg.Side, Seed: cfg.Seed,
+		Protocol: cfg.Protocol, Channels: &cfg.Channels,
+		Source: graph.NodeID(cfg.Source), GroupFrac: &cfg.GroupFrac, Joiner: -1,
+	}}
+	if cfg.FailFrac != 0 {
+		s.Script = []scenario.Step{{Verb: scenario.VerbFailFrac, Frac: cfg.FailFrac}}
 	}
-	if cfg.FailFrac < 0 || cfg.FailFrac > 1 {
-		return fmt.Errorf("-failfrac %v: out of [0,1]", cfg.FailFrac)
-	}
-	if cfg.GroupFrac < 0 || cfg.GroupFrac > 1 {
-		return fmt.Errorf("-groupfrac %v: out of [0,1]", cfg.GroupFrac)
-	}
-	d, err := workload.IncrementalConnected(workload.PaperConfig(cfg.Seed, cfg.Side, cfg.N))
-	if err != nil {
-		return err
-	}
-	var fw *flight.Writer
-	coreCfg := core.Config{}
-	if cfg.RecordPath != "" {
-		if cfg.Protocol == "gather" {
-			return fmt.Errorf("-record supports broadcast protocols, not gather")
-		}
-		rf, err := os.Create(cfg.RecordPath)
-		if err != nil {
-			return err
-		}
-		if cfg.RecordRing > 0 {
-			fw = flight.NewRingWriter(rf, cfg.RecordRing)
-		} else {
-			fw = flight.NewWriter(rf)
-		}
-		fw.WriteHeader(flight.Header{
-			Seed: cfg.Seed, N: cfg.N, Side: cfg.Side, Channels: cfg.Channels,
-			Source: graph.NodeID(cfg.Source), Protocol: strings.ToUpper(cfg.Protocol),
-			RingLimit: cfg.RecordRing,
-		})
-		coreCfg.DeltaHook = func(d cnet.Delta) { fw.WriteDelta(flightDelta(d)) }
-	}
-	net, err := core.Build(d.Graph(), coreCfg)
-	if err != nil {
-		return err
-	}
-	if err := net.Verify(); err != nil {
-		return err
-	}
-	if fw != nil {
-		netio.RecordTopology(fw, net)
-	}
+	return s
+}
 
-	var reg *obs.Registry
+// run executes the scenario the flags describe. Invalid settings fail
+// before any output file is created, naming the flag.
+func run(cfg runConfig) error {
+	s := scenarioOf(cfg)
+	if err := s.Validate(); err != nil {
+		var ke *scenario.KeyError
+		if errors.As(err, &ke) && flagOf[ke.Key] != "" {
+			return fmt.Errorf("%s %v: %s", flagOf[ke.Key], ke.Value, ke.Reason)
+		}
+		return err
+	}
+	return execute(s, cfg)
+}
+
+// errFailed reports a run whose checks did not all hold; the report on
+// stdout says which.
+var errFailed = errors.New("scenario checks failed")
+
+// execute runs s through scenario.Run with the sinks cfg asks for, prints
+// the structure summary and the report, and writes the output files.
+func execute(s *scenario.Scenario, cfg runConfig) error {
+	// Self-verify (offline verifier plus replay agreement) when there is a
+	// recording to keep or an assertion to check; a bare flag-mode run
+	// then skips the in-memory recording.
+	opts := scenario.RunOptions{
+		Workers: cfg.Workers, Runtime: cfg.Runtime,
+		Record: cfg.RecordPath != "", RecordRing: cfg.RecordRing,
+		Verify: scenario.FlightCapable(s.Spec.Protocol) && (cfg.RecordPath != "" || len(s.Asserts) > 0),
+	}
+	if cfg.DNode != "" {
+		opts.Fleet = &dist.ProcFleet{Command: func(id graph.NodeID) *exec.Cmd {
+			return exec.Command(cfg.DNode, "-scenario", s.Path, "-node", fmt.Sprint(id))
+		}}
+	}
 	if cfg.wantObs() {
-		reg = obs.NewRegistry()
-		net.CNet().Instrument(reg)
-		net.Slots().Record(reg)
+		opts.Obs = obs.NewRegistry()
 	}
 	if cfg.PprofAddr != "" {
-		srv := &http.Server{Addr: cfg.PprofAddr, Handler: pprofMux(reg)}
+		srv := &http.Server{Addr: cfg.PprofAddr, Handler: pprofMux(opts.Obs)}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "dynsim: pprof server: %v\n", err)
@@ -292,53 +263,24 @@ func run(cfg runConfig) error {
 		}()
 		fmt.Printf("pprof+metrics listening on %s\n", cfg.PprofAddr)
 	}
-
-	st := net.Stats()
-	fmt.Printf("network: %d nodes on %dx%d units (range 50 m)\n", st.Nodes, cfg.Side, cfg.Side)
-	fmt.Printf("structure: clusters=%d gateways=%d members=%d height=%d\n",
-		st.Clusters, st.Gateways, st.Members, st.Height)
-	fmt.Printf("backbone: size=%d height=%d\n", st.BackboneSize, st.BackboneHeight)
-	fmt.Printf("degrees/slots: D=%d d=%d Delta=%d delta=%d (Lemma 3 bounds %d / %d)\n",
-		st.DegreeG, st.DegreeBT, st.Delta, st.SmallDelta, st.BoundL, st.BoundB)
-
-	if cfg.Runtime == broadcast.RuntimeDist && cfg.Protocol == "gather" {
-		return fmt.Errorf("-runtime dist supports broadcast protocols, not gather")
-	}
-	opts := broadcast.Options{Channels: cfg.Channels, Workers: cfg.Workers, Obs: reg, Runtime: cfg.Runtime}
-	var perf *radio.Perf
 	var sampler *obsperf.Sampler
 	if cfg.Perf {
-		perf = radio.NewPerf()
-		opts.Perf = perf
-		if reg != nil {
-			sampler = obsperf.NewSampler(reg)
+		opts.Perf = radio.NewPerf()
+		if opts.Obs != nil {
+			sampler = obsperf.NewSampler(opts.Obs)
 			sampler.Start(250 * time.Millisecond)
 		}
 	}
 	if cfg.Verbose {
-		opts.TraceBatch = func(evs []radio.Event) {
-			for _, ev := range evs {
-				switch ev.Kind {
-				case radio.EvTransmit:
-					fmt.Printf("  r%-4d tx   node %d ch %d\n", ev.Round, ev.Node, ev.Channel)
-				case radio.EvDeliver:
-					fmt.Printf("  r%-4d rx   node %d <- %d ch %d\n", ev.Round, ev.Node, ev.Peer, ev.Channel)
-				case radio.EvCollision:
-					fmt.Printf("  r%-4d coll node %d ch %d\n", ev.Round, ev.Node, ev.Channel)
-				case radio.EvNodeFail:
-					fmt.Printf("  r%-4d DIED node %d\n", ev.Round, ev.Node)
-				}
-			}
-		}
+		opts.TraceBatch = printEvents
 	}
-	var eventsFile *os.File
 	if cfg.EventsPath != "" {
-		eventsFile, err = os.Create(cfg.EventsPath)
+		f, err := os.Create(cfg.EventsPath)
 		if err != nil {
 			return err
 		}
-		defer eventsFile.Close()
-		sink := obs.NewEventSink(eventsFile)
+		defer f.Close()
+		sink := obs.NewEventSink(f)
 		opts.TraceBatch = obs.ChainBatchHooks(opts.TraceBatch, sink.BatchHook())
 		defer func() {
 			if serr := sink.Err(); serr != nil {
@@ -348,126 +290,65 @@ func run(cfg runConfig) error {
 			}
 		}()
 	}
-	if cfg.FailFrac > 0 {
-		horizon := 2 * (st.BackboneSize - 1)
-		if horizon < 1 {
-			horizon = 1
-		}
-		for _, f := range workload.FailureTrace(net.Graph(), net.Root(), cfg.FailFrac, horizon, cfg.Seed*17) {
-			opts.Failures = append(opts.Failures, broadcast.NodeFailure{Node: f.Node, Round: f.Round})
-		}
-		fmt.Printf("injected %d node failures\n", len(opts.Failures))
-	}
-	if fw != nil {
-		for _, f := range opts.Failures {
-			fw.WriteDelta(flight.Delta{
-				Kind: flight.DeltaNodeFail, Node: f.Node, Peer: flight.NoParent, Round: f.Round,
-			})
-		}
-		opts.Flight = fw
-	}
 
-	src := graph.NodeID(cfg.Source)
-	var m broadcast.Metrics
-	switch cfg.Protocol {
-	case "icff":
-		m, err = net.Broadcast(src, opts)
-	case "cff":
-		m, err = net.BroadcastCFF(src, opts)
-	case "dfo":
-		m, err = net.BroadcastDFO(src, opts)
-	case "gather":
-		values := make(map[graph.NodeID]int64)
-		var want int64
-		for _, id := range net.CNet().Tree().Nodes() {
-			values[id] = int64(id) + 1
-			want += int64(id) + 1
-		}
-		var gfails []gather.Failure
-		for _, f := range opts.Failures {
-			gfails = append(gfails, gather.Failure{Node: f.Node, Round: f.Round})
-		}
-		gm, err := net.Gather(values, gather.Options{Failures: gfails, Workers: cfg.Workers, Perf: perf, TraceBatch: opts.TraceBatch})
-		if err != nil {
-			return err
-		}
-		fmt.Println(gm)
-		fmt.Printf("expected sum %d; reporting fraction %.3f\n", want,
-			float64(gm.Reporting)/float64(gm.Nodes))
-		if err := finishPerf(perf, sampler, reg); err != nil {
-			return err
-		}
-		return finishMetrics(reg, cfg)
-	case "multicast":
-		rng := rand.New(rand.NewSource(cfg.Seed * 31))
-		joined := 0
-		for _, id := range net.CNet().Tree().Nodes() {
-			if rng.Float64() < cfg.GroupFrac {
-				if err := net.JoinGroup(id, 1); err != nil {
-					return err
-				}
-				joined++
-			}
-		}
-		if joined == 0 {
-			if err := net.JoinGroup(net.Root(), 1); err != nil {
-				return err
-			}
-			joined = 1
-		}
-		fmt.Printf("multicast group 1: %d members\n", joined)
-		m, err = net.Multicast(1, src, opts)
-	default:
-		return fmt.Errorf("unknown protocol %q", cfg.Protocol)
+	res, err := scenario.Run(s, opts)
+	if sampler != nil {
+		sampler.Stop()
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Println(m)
-	fmt.Printf("delivery ratio: %.3f\n", m.DeliveryRatio())
-	if fw != nil {
-		if err := fw.Close(); err != nil {
-			return fmt.Errorf("flight recording: %w", err)
-		}
-		if n := fw.Dropped(); n > 0 {
-			fmt.Printf("wrote flight recording to %s (ring mode, %d oldest events dropped)\n", cfg.RecordPath, n)
-		} else {
-			fmt.Printf("wrote flight recording to %s\n", cfg.RecordPath)
-		}
-	}
-	if err := finishPerf(perf, sampler, reg); err != nil {
+	st := res.Stats
+	fmt.Printf("network: %d nodes on %dx%d units (range 50 m)\n", st.Nodes, s.Spec.Side, s.Spec.Side)
+	fmt.Printf("structure: clusters=%d gateways=%d members=%d height=%d\n",
+		st.Clusters, st.Gateways, st.Members, st.Height)
+	fmt.Printf("backbone: size=%d height=%d\n", st.BackboneSize, st.BackboneHeight)
+	fmt.Printf("degrees/slots: D=%d d=%d Delta=%d delta=%d (Lemma 3 bounds %d / %d)\n",
+		st.DegreeG, st.DegreeBT, st.Delta, st.SmallDelta, st.BoundL, st.BoundB)
+	if err := res.Write(os.Stdout); err != nil {
 		return err
 	}
-	return finishMetrics(reg, cfg)
-}
-
-// finishPerf stops the runtime sampler, publishes the perf collector into
-// the registry (so the -metrics dump carries the dynsens_kernel_* series)
-// and prints the per-phase summary table.
-func finishPerf(perf *radio.Perf, sampler *obsperf.Sampler, reg *obs.Registry) error {
-	if perf == nil {
-		return nil
+	if cfg.RecordPath != "" {
+		if err := os.WriteFile(cfg.RecordPath, res.Recording, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("recorded %d bytes to %s\n", len(res.Recording), cfg.RecordPath)
 	}
-	if sampler != nil {
-		sampler.Stop()
+	if opts.Perf != nil {
+		snap := opts.Perf.Snapshot()
+		if opts.Obs != nil {
+			obsperf.Publish(opts.Obs, snap)
+		}
+		if err := obsperf.WriteSummary(os.Stdout, snap); err != nil {
+			return err
+		}
 	}
-	snap := perf.Snapshot()
-	if reg != nil {
-		obsperf.Publish(reg, snap)
+	if opts.Obs != nil && cfg.MetricsPath != "" {
+		if err := writeMetrics(opts.Obs, cfg.MetricsPath); err != nil {
+			return fmt.Errorf("writing metrics: %w", err)
+		}
+		if cfg.MetricsPath != "-" {
+			fmt.Printf("wrote metrics snapshot to %s\n", cfg.MetricsPath)
+		}
 	}
-	return obsperf.WriteSummary(os.Stdout, snap)
-}
-
-// finishMetrics writes the -metrics dump, if requested.
-func finishMetrics(reg *obs.Registry, cfg runConfig) error {
-	if reg == nil || cfg.MetricsPath == "" {
-		return nil
-	}
-	if err := writeMetrics(reg, cfg.MetricsPath); err != nil {
-		return fmt.Errorf("writing metrics: %w", err)
-	}
-	if cfg.MetricsPath != "-" {
-		fmt.Printf("wrote metrics snapshot to %s\n", cfg.MetricsPath)
+	if !res.Passed() {
+		return errFailed
 	}
 	return nil
+}
+
+// printEvents is the -v trace: one line per radio event.
+func printEvents(evs []radio.Event) {
+	for _, ev := range evs {
+		switch ev.Kind {
+		case radio.EvTransmit:
+			fmt.Printf("  r%-4d tx   node %d ch %d\n", ev.Round, ev.Node, ev.Channel)
+		case radio.EvDeliver:
+			fmt.Printf("  r%-4d rx   node %d <- %d ch %d\n", ev.Round, ev.Node, ev.Peer, ev.Channel)
+		case radio.EvCollision:
+			fmt.Printf("  r%-4d coll node %d ch %d\n", ev.Round, ev.Node, ev.Channel)
+		case radio.EvNodeFail:
+			fmt.Printf("  r%-4d DIED node %d\n", ev.Round, ev.Node)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -47,5 +48,32 @@ rounds <= 1
 	}
 	if code := runScenario(filepath.Join(dir, "missing.dsn"), runConfig{}); code != 1 {
 		t.Fatalf("missing file exited %d, want 1", code)
+	}
+}
+
+// TestScenarioModeWritesSinks checks that -scenario honours the output
+// flags flag mode has: the -events stream and the -metrics snapshot.
+func TestScenarioModeWritesSinks(t *testing.T) {
+	dir := t.TempDir()
+	c := runConfig{
+		EventsPath:  filepath.Join(dir, "e.jsonl"),
+		MetricsPath: filepath.Join(dir, "m.json"),
+	}
+	if code := runScenario(filepath.Join("..", "..", "testdata", "scenarios", "positive", "sparse-rgg-icff.dsn"), c); code != 0 {
+		t.Fatalf("scenario exited %d", code)
+	}
+	ev, err := os.ReadFile(c.EventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(ev, []byte(`{"eseq":`)) {
+		t.Fatalf("-events file does not start with an event line: %.40q", ev)
+	}
+	m, err := os.ReadFile(c.MetricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(m, []byte("dynsens_broadcast_runs_total")) {
+		t.Fatalf("-metrics snapshot lacks the broadcast series: %.80q", m)
 	}
 }

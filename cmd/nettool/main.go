@@ -40,12 +40,11 @@ import (
 	"math/rand"
 	"os"
 
-	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
-	"dynsens/internal/graph"
+	"dynsens/internal/expt"
 	"dynsens/internal/netio"
 	"dynsens/internal/obs"
-	"dynsens/internal/workload"
+	"dynsens/internal/scenario"
 )
 
 func main() {
@@ -94,7 +93,7 @@ func main() {
 			n        = fs.Int("n", 200, "number of nodes")
 			side     = fs.Int("side", 10, "region side in 100 m units")
 			seed     = fs.Int64("seed", 1, "deployment seed")
-			protocol = fs.String("protocol", "icff", "icff|cff|dfo")
+			protocol = fs.String("protocol", "icff", "icff|cff|dfo|multicast|gather")
 			channels = fs.Int("channels", 1, "radio channels k")
 		)
 		// ExitOnError: Parse cannot return a non-nil error here.
@@ -126,15 +125,8 @@ func main() {
 }
 
 func run(n, side int, seed int64, groups int, jsonPath, dotPath, svgPath string, ascii bool, cols, rows int) error {
-	d, err := workload.IncrementalConnected(workload.PaperConfig(seed, side, n))
+	net, d, err := expt.BuildNetwork(side, n, seed, core.Config{})
 	if err != nil {
-		return err
-	}
-	net, err := core.Build(d.Graph(), core.Config{})
-	if err != nil {
-		return err
-	}
-	if err := net.Verify(); err != nil {
 		return err
 	}
 	if groups > 0 {
@@ -206,37 +198,15 @@ func run(n, side int, seed int64, groups int, jsonPath, dotPath, svgPath string,
 	return nil
 }
 
-// runMetrics builds a network, runs one fully instrumented broadcast, and
-// renders the snapshot as a human-readable table on w.
+// runMetrics runs one fully instrumented broadcast from node 0 (the root)
+// as a one-off scenario and renders the metrics snapshot as a table on w.
 func runMetrics(w io.Writer, n, side int, seed int64, protocol string, channels int) error {
-	d, err := workload.IncrementalConnected(workload.PaperConfig(seed, side, n))
-	if err != nil {
-		return err
-	}
-	net, err := core.Build(d.Graph(), core.Config{})
-	if err != nil {
-		return err
-	}
-	if err := net.Verify(); err != nil {
-		return err
-	}
+	s := &scenario.Scenario{Spec: scenario.Spec{
+		Name: "metrics", N: n, Side: side, Seed: seed,
+		Protocol: protocol, Channels: &channels, Joiner: -1,
+	}}
 	reg := obs.NewRegistry()
-	net.CNet().Instrument(reg)
-	net.Slots().Record(reg)
-
-	opts := broadcast.Options{Channels: channels, Obs: reg}
-	src := graph.NodeID(net.Root())
-	switch protocol {
-	case "icff":
-		_, err = net.Broadcast(src, opts)
-	case "cff":
-		_, err = net.BroadcastCFF(src, opts)
-	case "dfo":
-		_, err = net.BroadcastDFO(src, opts)
-	default:
-		return fmt.Errorf("unknown protocol %q (metrics supports icff|cff|dfo)", protocol)
-	}
-	if err != nil {
+	if _, err := scenario.Run(s, scenario.RunOptions{Obs: reg}); err != nil {
 		return err
 	}
 	return reg.Snapshot().WriteTable(w)

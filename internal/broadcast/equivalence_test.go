@@ -11,7 +11,6 @@ import (
 	"dynsens/internal/graph"
 	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
-	"dynsens/internal/trace"
 )
 
 // runRecorded executes one protocol run at the given engine worker count,
@@ -128,7 +127,7 @@ func TestRunByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestRunByteIdenticalRingRecorder repeats the byte-identity check with a
-// bounded ring flight writer and a batch-hooked trace recorder in the
+// bounded ring flight writer and a batch hook collecting events in the
 // loop: eviction order and the batched sink path must themselves be
 // deterministic across worker counts.
 func TestRunByteIdenticalRingRecorder(t *testing.T) {
@@ -144,10 +143,10 @@ func TestRunByteIdenticalRingRecorder(t *testing.T) {
 		fw := flight.NewRingWriter(&flightBuf, 24)
 		fw.WriteHeader(flight.Header{Seed: 1, N: g.NumNodes(), Protocol: plan.Protocol,
 			LossRate: opts.LossRate, LossSeed: opts.LossSeed})
-		rec := trace.NewRecorder(40)
+		var evs []radio.Event
 		o := opts
 		o.Workers = workers
-		o.TraceBatch = rec.BatchHook()
+		o.TraceBatch = func(batch []radio.Event) { evs = append(evs, batch...) }
 		o.Flight = fw
 		if _, err := plan.Run(g, o); err != nil {
 			t.Fatal(err)
@@ -155,22 +154,19 @@ func TestRunByteIdenticalRingRecorder(t *testing.T) {
 		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		evs := make([]radio.Event, len(rec.Events()))
-		copy(evs, rec.Events())
-		return flightBuf.Bytes(), evs, rec.Dropped()
+		return flightBuf.Bytes(), evs, fw.Dropped()
 	}
 	wantFlight, wantEvs, wantDropped := run(1)
 	if wantDropped == 0 {
-		t.Fatal("recorder limit never hit; ring/drop paths not exercised")
+		t.Fatal("ring limit never hit; eviction path not exercised")
 	}
 	for _, w := range []int{2, 3, 8, runtime.NumCPU()} {
 		gotFlight, gotEvs, gotDropped := run(w)
-		if !bytes.Equal(gotFlight, wantFlight) {
+		if !bytes.Equal(gotFlight, wantFlight) || gotDropped != wantDropped {
 			t.Fatalf("workers=%d ring recording diverges", w)
 		}
-		if !reflect.DeepEqual(gotEvs, wantEvs) || gotDropped != wantDropped {
-			t.Fatalf("workers=%d recorder diverges (%d events, %d dropped vs %d, %d)",
-				w, len(gotEvs), gotDropped, len(wantEvs), wantDropped)
+		if !reflect.DeepEqual(gotEvs, wantEvs) {
+			t.Fatalf("workers=%d event stream diverges (%d events vs %d)", w, len(gotEvs), len(wantEvs))
 		}
 	}
 }

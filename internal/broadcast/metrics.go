@@ -86,8 +86,8 @@ type Options struct {
 	Runtime string
 	// Fleet overrides the distributed runtime's transport; nil hosts each
 	// program on its own goroutine behind an in-memory pipe (LocalFleet).
-	// Supply a dist.ProcFleet of cmd/dnode children or a dist.TCPFleet for
-	// process or network isolation. RuntimeDist only.
+	// Supply a dist.ProcFleet of cmd/dnode children for process isolation.
+	// RuntimeDist only.
 	Fleet dist.Fleet
 	// Nemesis schedules distributed-runtime fault injection — crashes and
 	// healing partitions — on top of Failures/LinkFailures/LossRate.
@@ -262,7 +262,7 @@ func (p *Plan) newEngine(g *graph.Graph, opts Options) (roundEngine, func(), err
 			return nil, nil, err
 		}
 		if external {
-			// An external fleet (ProcFleet, TCPFleet) hosts its own
+			// An external fleet (ProcFleet) hosts its own
 			// reconstructions of the Programs; mirror deliveries into the
 			// local copies so the post-run Received() metrics fill sees
 			// them. The default LocalFleet serves these very objects, so

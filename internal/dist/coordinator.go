@@ -144,8 +144,8 @@ func (c *Coordinator) SetLoss(rate float64, seed int64) error {
 }
 
 // MirrorDeliveries replays every delivery the coordinator hands out into
-// the given local Program copies. Out-of-process fleets (ProcFleet,
-// TCPFleet) execute their own reconstructions of the plan's Programs, so
+// the given local Program copies. Out-of-process fleets (ProcFleet)
+// execute their own reconstructions of the plan's Programs, so
 // reception state interrogated after the run — broadcast's Received()
 // metrics fill — would otherwise stay empty on the coordinator side. The
 // mirror copies see the exact Deliver(localRound, msg) calls the remote

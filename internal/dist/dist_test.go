@@ -2,7 +2,6 @@ package dist_test
 
 import (
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"reflect"
@@ -361,43 +360,6 @@ func TestNemesisCrashMatchesFailNodeAt(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kTrace.events, c.events) {
 		t.Fatalf("trace diverges from FailNodeAt twin")
-	}
-}
-
-func TestTCPFleetMatchesKernel(t *testing.T) {
-	sc := &scenario{n: 4, mod: 4, quota: 2, maxRounds: 20}
-	kRes, kTrace := sc.runKernel(t, sc.programs())
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	progs := sc.programs()
-	for id, prog := range progs {
-		id, prog := id, prog
-		go func() {
-			if err := dist.DialNode(addr, id, prog); err != nil {
-				t.Errorf("node %d: %v", id, err)
-			}
-		}()
-	}
-	coord, err := dist.NewCoordinator(sc.graph(t), dist.NewTCPFleet(ln))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	var c collect
-	coord.SetTraceBatch(c.batch)
-	dRes := coord.Run(sc.maxRounds)
-	if err := coord.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(kRes, dRes) {
-		t.Errorf("results diverge:\nkernel: %+v\ndist:   %+v", kRes, dRes)
-	}
-	if !reflect.DeepEqual(kTrace.events, c.events) {
-		t.Fatalf("TCP trace diverges from kernel trace")
 	}
 }
 

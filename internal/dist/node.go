@@ -1,8 +1,8 @@
 // Package dist is the distributed actor runtime: it hosts the repository's
 // unmodified radio.Program implementations as isolated message-passing
 // nodes — goroutines behind in-memory pipes by default, separate OS
-// processes (cmd/dnode) or TCP peers when asked — and drives them through
-// the paper's round/slot structure with a coordinator that speaks the
+// processes (cmd/dnode) when asked — and drives them through the paper's
+// round/slot structure with a coordinator that speaks the
 // length-prefixed frame protocol of internal/netio/frame.
 //
 // The coordinator consumes the same transport-agnostic round core

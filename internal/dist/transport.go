@@ -14,10 +14,10 @@ import (
 	"dynsens/internal/radio"
 )
 
-// Conn is one node's framed byte stream: in-memory pipe, child-process
-// stdio, or TCP. Implementations should support write deadlines (see
+// Conn is one node's framed byte stream: in-memory pipe or child-process
+// stdio. Implementations should support write deadlines (see
 // deadlineWriter) so a stalled node cannot wedge the coordinator's send
-// path; all three built-in fleets do.
+// path; both built-in fleets do.
 type Conn interface {
 	io.ReadWriteCloser
 }
@@ -30,10 +30,9 @@ type deadlineWriter interface {
 
 // Peer is the coordinator's handle on one connected node: the framed
 // connection plus the node's Hello, which the fleet has already consumed
-// from the stream (the Hello carries the node ID — TCP fleets need it to
-// route an inbound dial to the right slot — and the program's initial Done
-// bit, which seeds the quiescence counter exactly as the kernel's pre-run
-// Done poll does).
+// from the stream (the Hello carries the node ID and the program's initial
+// Done bit, which seeds the quiescence counter exactly as the kernel's
+// pre-run Done poll does).
 type Peer struct {
 	conn  Conn
 	dec   *frame.Decoder
@@ -192,62 +191,4 @@ func (f *ProcFleet) Close() error {
 		_ = c.Close()
 	}
 	return nil
-}
-
-// TCPFleet accepts node connections on a listener: each node dials in and
-// introduces itself with its Hello, and Connect hands out peers by node ID
-// in whatever order the coordinator asks for them, accepting further
-// connections as needed. Nodes may dial in any order.
-type TCPFleet struct {
-	ln    net.Listener
-	peers map[graph.NodeID]*Peer
-}
-
-// NewTCPFleet wraps an already-listening listener; the caller tells the
-// nodes where to dial.
-func NewTCPFleet(ln net.Listener) *TCPFleet {
-	return &TCPFleet{ln: ln, peers: make(map[graph.NodeID]*Peer)}
-}
-
-// Connect waits for node id to dial in.
-func (f *TCPFleet) Connect(id graph.NodeID) (*Peer, error) {
-	for {
-		if p, ok := f.peers[id]; ok {
-			delete(f.peers, id)
-			return p, nil
-		}
-		conn, err := f.ln.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("dist: waiting for node %d: %w", id, err)
-		}
-		p, err := newPeer(conn)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := f.peers[p.Node()]; dup {
-			_ = conn.Close()
-			return nil, fmt.Errorf("dist: node %d connected twice", p.Node())
-		}
-		f.peers[p.Node()] = p
-	}
-}
-
-// Close stops listening and drops unclaimed peers.
-func (f *TCPFleet) Close() error {
-	err := f.ln.Close()
-	for _, p := range f.peers {
-		_ = p.conn.Close()
-	}
-	return err
-}
-
-// DialNode connects to a TCPFleet coordinator at addr and serves prog as
-// node id over the connection — the node side of the TCP transport.
-func DialNode(addr string, id graph.NodeID, prog radio.Program) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return ServeNode(conn, id, prog)
 }

@@ -53,66 +53,6 @@ func (m Model) EpochCost(listens, transmits, epochRounds int) float64 {
 		float64(sleeps)*m.SleepCost
 }
 
-// Tracker drains per-node budgets across epochs.
-type Tracker struct {
-	model     Model
-	remaining map[graph.NodeID]float64
-	initial   float64
-}
-
-// NewTracker gives every node the same initial budget.
-func NewTracker(model Model, nodes []graph.NodeID, budget float64) (*Tracker, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("energy: non-positive budget %v", budget)
-	}
-	t := &Tracker{model: model, remaining: make(map[graph.NodeID]float64, len(nodes)), initial: budget}
-	for _, id := range nodes {
-		t.remaining[id] = budget
-	}
-	return t, nil
-}
-
-// Remaining returns a node's budget (0 for unknown nodes).
-func (t *Tracker) Remaining(id graph.NodeID) float64 { return t.remaining[id] }
-
-// Charge applies one epoch: every tracked node pays for its listens,
-// transmits and the implied sleep rounds of an epoch of epochRounds.
-// Unlisted nodes slept throughout.
-func (t *Tracker) Charge(listens, transmits map[graph.NodeID]int, epochRounds int) {
-	for id := range t.remaining {
-		t.remaining[id] -= t.model.EpochCost(listens[id], transmits[id], epochRounds)
-	}
-}
-
-// Depleted lists nodes at or below zero, ascending.
-func (t *Tracker) Depleted() []graph.NodeID {
-	var out []graph.NodeID
-	for id, r := range t.remaining {
-		if r <= 0 {
-			out = append(out, id)
-		}
-	}
-	sortNodeIDs(out)
-	return out
-}
-
-// MinRemaining returns the lowest budget and its node (ties to lowest ID).
-func (t *Tracker) MinRemaining() (graph.NodeID, float64) {
-	first := true
-	var minID graph.NodeID
-	minV := 0.0
-	for id, r := range t.remaining {
-		if first || r < minV || (r == minV && id < minID) {
-			minID, minV = id, r
-			first = false
-		}
-	}
-	return minID, minV
-}
-
 // Lifetime computes how many identical epochs the network survives before
 // the first node depletes, given the per-epoch activity of each node. It
 // is exact (no simulation loop needed because epochs are identical):

@@ -38,40 +38,6 @@ func TestEpochCost(t *testing.T) {
 	}
 }
 
-func TestTrackerChargeAndDepletion(t *testing.T) {
-	nodes := []graph.NodeID{1, 2, 3}
-	tr, err := NewTracker(Model{TransmitCost: 1, ListenCost: 1, SleepCost: 0}, nodes, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	listens := map[graph.NodeID]int{1: 5, 2: 1}
-	transmits := map[graph.NodeID]int{1: 5}
-	tr.Charge(listens, transmits, 20)
-	if tr.Remaining(1) != 0 {
-		t.Fatalf("node 1 remaining = %v", tr.Remaining(1))
-	}
-	if tr.Remaining(2) != 9 || tr.Remaining(3) != 10 {
-		t.Fatalf("remaining: %v %v", tr.Remaining(2), tr.Remaining(3))
-	}
-	dep := tr.Depleted()
-	if len(dep) != 1 || dep[0] != 1 {
-		t.Fatalf("depleted = %v", dep)
-	}
-	id, v := tr.MinRemaining()
-	if id != 1 || v != 0 {
-		t.Fatalf("min = %d %v", id, v)
-	}
-}
-
-func TestNewTrackerErrors(t *testing.T) {
-	if _, err := NewTracker(DefaultModel(), nil, 0); err == nil {
-		t.Fatal("zero budget accepted")
-	}
-	if _, err := NewTracker(Model{TransmitCost: -1}, nil, 1); err == nil {
-		t.Fatal("invalid model accepted")
-	}
-}
-
 func TestLifetimeExact(t *testing.T) {
 	m := Model{TransmitCost: 1, ListenCost: 1, SleepCost: 0}
 	listens := map[graph.NodeID]int{1: 3, 2: 1}

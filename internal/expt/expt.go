@@ -112,12 +112,6 @@ func (p Params) rng(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// Default returns the paper's published configuration: the 10x10 region
-// with 100..500 nodes, 5 seeds per point.
-func Default() Params {
-	return Params{Side: 10, Sizes: []int{100, 200, 300, 400, 500}, Seeds: 5, BaseSeed: 1}
-}
-
 // Quick returns a fast configuration for tests and smoke runs.
 func Quick() Params {
 	return Params{Side: 8, Sizes: []int{40, 80}, Seeds: 2, BaseSeed: 1}

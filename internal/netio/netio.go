@@ -14,7 +14,6 @@ import (
 	"dynsens/internal/core"
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
-	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 )
 
@@ -204,88 +203,6 @@ func SVG(net *core.Network, d *geom.Deployment, width int) string {
 	}
 	b.WriteString("</svg>\n")
 	return b.String()
-}
-
-// HeatSVG renders the field with nodes colored by a per-node scalar (for
-// example first-reception round, awake rounds, or remaining energy): low
-// values blue, high values red, missing entries gray. Tree edges are drawn
-// faintly underneath.
-func HeatSVG(net *core.Network, d *geom.Deployment, value map[graph.NodeID]float64, width int) string {
-	if width < 100 {
-		width = 600
-	}
-	scale := float64(width) / d.Region.Width
-	height := int(d.Region.Height * scale)
-	lo, hi := 0.0, 0.0
-	first := true
-	for _, v := range value {
-		if first {
-			lo, hi = v, v
-			first = false
-			continue
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	color := func(v float64) string {
-		t := 0.0
-		if hi > lo {
-			t = (v - lo) / (hi - lo)
-		}
-		r := int(40 + 215*t)
-		b := int(255 - 215*t)
-		return fmt.Sprintf("rgb(%d,60,%d)", r, b)
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		width, height, width, height)
-	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
-	tr := net.CNet().Tree()
-	for _, id := range tr.Nodes() {
-		p, ok := tr.Parent(id)
-		if !ok || int(id) >= d.NumNodes() || int(p) >= d.NumNodes() {
-			continue
-		}
-		a, c := d.Pos[int(id)], d.Pos[int(p)]
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#eeeeee" stroke-width="1"/>`+"\n",
-			a.X*scale, float64(height)-a.Y*scale, c.X*scale, float64(height)-c.Y*scale)
-	}
-	for _, id := range tr.Nodes() {
-		if int(id) >= d.NumNodes() {
-			continue
-		}
-		p := d.Pos[int(id)]
-		fill := "#bbbbbb"
-		if v, ok := value[id]; ok {
-			fill = color(v)
-		}
-		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="3.5" fill="%s"/>`+"\n",
-			p.X*scale, float64(height)-p.Y*scale, fill)
-	}
-	fmt.Fprintf(&b, `<text x="4" y="%d" font-size="10" fill="#333">blue=low (%.0f)  red=high (%.0f)</text>`+"\n",
-		height-4, lo, hi)
-	b.WriteString("</svg>\n")
-	return b.String()
-}
-
-// ReceptionRounds extracts each node's first payload-reception round from
-// recorded radio events — the natural input for HeatSVG after a broadcast.
-func ReceptionRounds(events []radio.Event) map[graph.NodeID]float64 {
-	out := make(map[graph.NodeID]float64)
-	for _, ev := range events {
-		if ev.Kind != radio.EvDeliver {
-			continue
-		}
-		if _, seen := out[ev.Node]; !seen {
-			out[ev.Node] = float64(ev.Round)
-		}
-	}
-	return out
 }
 
 // DOT renders the network as a Graphviz graph: cluster-net tree edges are

@@ -4,10 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
 	"dynsens/internal/geom"
-	"dynsens/internal/trace"
 	"dynsens/internal/workload"
 )
 
@@ -121,32 +119,6 @@ func TestExportMismatchedDeployment(t *testing.T) {
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("{nope")); err == nil {
 		t.Fatal("garbage accepted")
-	}
-}
-
-func TestHeatSVGFromBroadcast(t *testing.T) {
-	net, d := setup(t)
-	rec := trace.NewRecorder(0)
-	m, err := net.Broadcast(net.Root(), broadcast.Options{TraceBatch: rec.BatchHook()})
-	if err != nil || !m.Completed {
-		t.Fatalf("broadcast: %v %s", err, m)
-	}
-	rounds := ReceptionRounds(rec.Events())
-	// Every node except the source received at some round.
-	if len(rounds) != net.Size()-1 {
-		t.Fatalf("reception rounds for %d nodes, want %d", len(rounds), net.Size()-1)
-	}
-	svg := HeatSVG(net, d, rounds, 400)
-	if !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "rgb(") {
-		t.Fatalf("malformed heat SVG: %.100s", svg)
-	}
-	// Gray fallback for the uncolored source.
-	if !strings.Contains(svg, "#bbbbbb") {
-		t.Fatal("source not gray")
-	}
-	// Empty value map still renders.
-	if !strings.HasPrefix(HeatSVG(net, d, nil, 0), "<svg") {
-		t.Fatal("empty heat map failed")
 	}
 }
 

@@ -27,7 +27,7 @@ type EventRecord struct {
 }
 
 // EventSink writes radio events as one JSON object per line — the
-// structured counterpart of trace.Recorder's human timeline, meant for
+// structured counterpart of trace.RenderEvents' human timeline, meant for
 // offline analysis pipelines. Events arrive in the engine's deterministic
 // order, so sink output is byte-stable per seed. The sink is safe for
 // concurrent hooks (distinct engines may share one sink) and latches the

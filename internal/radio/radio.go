@@ -20,7 +20,6 @@ package radio
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"dynsens/internal/graph"
@@ -320,17 +319,6 @@ func (e *Engine) SetLoss(rate float64, seed int64) error {
 	e.lossRate = rate
 	e.lossSeed = uint64(seed)
 	return nil
-}
-
-// SetLossRand is SetLoss for callers that thread one seeded *rand.Rand
-// through several randomized components: it consumes a single Uint64 from
-// rng to key the engine's counter streams, leaving the rest of the caller's
-// stream untouched.
-func (e *Engine) SetLossRand(rate float64, rng *rand.Rand) error {
-	if rng == nil {
-		return fmt.Errorf("radio: nil rand source")
-	}
-	return e.SetLoss(rate, int64(rng.Uint64()))
 }
 
 func (e *Engine) nodeAlive(id graph.NodeID, round int) bool {

@@ -15,6 +15,7 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add([]byte("comment\n-- spec --\nn = 1\nside = 1\n-- script --\nchurn 3 0.5\n-- metrics --\nrounds = 1\n"))
 	f.Add([]byte("-- spec --\nn = 5\nside = 8\nseed = -3\nloss = 0.25\n-- script --\nfail 2 4\ncut 1 3 2\nfailfrac 0.1\n"))
 	f.Add([]byte("-- spec --\nname = x\nn = 2\nside = 2\njoiner = 1\nprotocol = discovery\n"))
+	f.Add([]byte("-- spec --\nn = 3\nside = 2\nchannels = 1\ngroup-frac = 0\n"))
 	f.Add([]byte("-- --")) // regression: marker prefix/suffix overlap panicked
 
 	f.Fuzz(func(t *testing.T, data []byte) {

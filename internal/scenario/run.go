@@ -1,10 +1,10 @@
-// run.go is the single scenario runner behind all three entry points (go
-// test corpus walker, dynsim/nettool CLI, flight record→replay): it builds
-// the deployment a spec names, applies the script, executes the protocol
-// on the radio engine, and evaluates every assertion into structured
-// outcomes. With recording enabled the same run is captured as a .dsfr
-// flight recording and re-verified offline, and the offline verdicts must
-// agree with the live ones.
+// run.go is the single scenario runner behind every entry point (go test
+// corpus walker, dynsim in both its modes, nettool scenario|metrics, flight
+// record→replay): it builds the deployment a spec names, applies the
+// script, executes the protocol on the radio engine, and evaluates every
+// assertion into structured outcomes. With recording enabled the same run
+// is captured as a .dsfr flight recording and re-verified offline, and the
+// offline verdicts must agree with the live ones.
 package scenario
 
 import (
@@ -27,6 +27,7 @@ import (
 	"dynsens/internal/geom"
 	"dynsens/internal/graph"
 	"dynsens/internal/netio"
+	"dynsens/internal/obs"
 	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 	"dynsens/internal/workload"
@@ -40,6 +41,9 @@ type RunOptions struct {
 	// Record captures the run as a .dsfr flight recording in
 	// Result.Recording (broadcast-family protocols only).
 	Record bool
+	// RecordRing > 0 bounds the recording to the last RecordRing radio
+	// events (flight.NewRingWriter).
+	RecordRing int
 	// Verify implies Record: the captured recording is decoded, checked
 	// with flight.Verify, and the scenario's assertions are re-evaluated
 	// offline from it — every offline-decidable verdict must agree with
@@ -56,6 +60,16 @@ type RunOptions struct {
 	// goroutine per node behind an in-memory pipe). dynsim -dnode wires a
 	// dist.ProcFleet of cmd/dnode child processes here. Dist runtime only.
 	Fleet dist.Fleet
+	// Obs, when non-nil, receives the run's metrics: the cluster and slot
+	// structure are instrumented after the build, then the protocol run
+	// reports into it.
+	Obs *obs.Registry
+	// TraceBatch, when non-nil, receives the radio events in batches (see
+	// radio.Engine.SetTraceBatch); copy events to retain them.
+	TraceBatch func([]radio.Event)
+	// Perf, when non-nil, collects kernel performance introspection;
+	// strictly read-only.
+	Perf *radio.Perf
 }
 
 // Result is one evaluated scenario run.
@@ -63,6 +77,8 @@ type Result struct {
 	Scenario *Scenario
 	Measured Measured
 	Bounds   Bounds
+	// Stats summarizes the structure the protocol ran on.
+	Stats core.Snapshot
 	// Outcomes holds one entry per assertion, plus golden comparisons and
 	// (with RunOptions.Verify) the flight verifier and replay-agreement
 	// outcomes.
@@ -312,10 +328,13 @@ func BuildPlan(s *Scenario) (*broadcast.Plan, *graph.Graph, error) {
 	return plan, net.Graph(), nil
 }
 
-// Run executes the scenario through the live stack and evaluates its
-// assertions. The error return covers setup problems (bad spec, broken
-// deployment); assertion failures land in Result.Outcomes.
+// Run validates the scenario, executes it through the live stack and
+// evaluates its assertions. The error return covers setup problems (bad
+// spec, broken deployment); assertion failures land in Result.Outcomes.
 func Run(s *Scenario, opts RunOptions) (*Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	sp := s.Spec
 	proto := sp.protocol()
 	record := opts.Record || opts.Verify
@@ -346,11 +365,15 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	var buf bytes.Buffer
 	coreCfg := core.Config{}
 	if record {
-		fw = flight.NewWriter(&buf)
+		if opts.RecordRing > 0 {
+			fw = flight.NewRingWriter(&buf, opts.RecordRing)
+		} else {
+			fw = flight.NewWriter(&buf)
+		}
 		fw.WriteHeader(flight.Header{
 			Seed: sp.Seed, N: sp.N, Side: sp.Side, Channels: sp.channels(),
 			Source: sp.Source, Protocol: strings.ToUpper(proto),
-			LossRate: sp.LossRate, LossSeed: sp.LossSeed,
+			LossRate: sp.LossRate, LossSeed: sp.LossSeed, RingLimit: opts.RecordRing,
 		})
 		coreCfg.DeltaHook = func(d cnet.Delta) { fw.WriteDelta(flightDelta(d)) }
 	}
@@ -363,12 +386,18 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	if !net.Contains(sp.Source) {
 		return nil, fmt.Errorf("scenario %s: source %d not in the network after the script", s.Name(), sp.Source)
 	}
+	if opts.Obs != nil {
+		net.CNet().Instrument(opts.Obs)
+		net.Slots().Record(opts.Obs)
+	}
 
 	// Script-driven failure injection.
+	stats := net.Stats()
 	o := broadcast.Options{
-		Channels: sp.Channels, Workers: workers,
+		Channels: sp.channels(), Workers: workers,
 		LossRate: sp.LossRate, LossSeed: sp.LossSeed,
 		Runtime: runtime, Fleet: opts.Fleet,
+		Obs: opts.Obs, TraceBatch: opts.TraceBatch, Perf: opts.Perf,
 	}
 	for _, st := range s.Script {
 		switch st.Verb {
@@ -377,7 +406,7 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 		case VerbCut:
 			o.LinkFailures = append(o.LinkFailures, broadcast.LinkFailure{A: st.Node, B: st.Peer, Round: st.Round})
 		case VerbFailFrac:
-			horizon := 2 * (net.Stats().BackboneSize - 1)
+			horizon := 2 * (stats.BackboneSize - 1)
 			if horizon < 1 {
 				horizon = 1
 			}
@@ -400,10 +429,10 @@ func Run(s *Scenario, opts RunOptions) (*Result, error) {
 	// Timeline capture, when the scenario pins a golden timeline.
 	var events []radio.Event
 	if s.GoldenTimeline != "" {
-		o.TraceBatch = func(evs []radio.Event) { events = append(events, evs...) }
+		o.TraceBatch = obs.ChainBatchHooks(o.TraceBatch, func(evs []radio.Event) { events = append(events, evs...) })
 	}
 
-	res := &Result{Scenario: s}
+	res := &Result{Scenario: s, Stats: stats}
 	m, err := runProtocol(net, s, o, workers, &events)
 	if err != nil {
 		return nil, err
@@ -494,7 +523,7 @@ func runProtocol(net *core.Network, s *Scenario, o broadcast.Options, workers in
 		for _, f := range o.Failures {
 			gfails = append(gfails, gather.Failure{Node: f.Node, Round: f.Round})
 		}
-		gm, gerr := net.Gather(values, gather.Options{Failures: gfails, Workers: workers, TraceBatch: o.TraceBatch})
+		gm, gerr := net.Gather(values, gather.Options{Failures: gfails, Workers: workers, TraceBatch: o.TraceBatch, Perf: o.Perf})
 		if gerr != nil {
 			return Measured{}, gerr
 		}

@@ -46,7 +46,8 @@ var deployments = map[string]bool{"rgg": true, "grid": true}
 
 // Spec is the parsed "spec" section: everything needed to rebuild the
 // deployment and run the protocol. Zero values mean "use the default";
-// Format omits them, so parse→format→parse is a fixpoint.
+// Format omits them, so parse→format→parse is a fixpoint. Keys whose zero
+// is itself a meaningful value are pointers, nil when the key is absent.
 type Spec struct {
 	// Name identifies the scenario in reports (default: the file base).
 	Name string
@@ -61,8 +62,9 @@ type Spec struct {
 	// Protocol is one of icff|cff|dfo|pflood|multicast|gather|discovery
 	// (default icff).
 	Protocol string
-	// Channels is the radio channel count k (default 1).
-	Channels int
+	// Channels is the radio channel count k (default 1; an explicit value
+	// must be at least 1).
+	Channels *int
 	// Workers is the radio engine shard-worker count (0 = engine
 	// default). Purely a wall-clock knob: results are byte-identical.
 	Workers int
@@ -81,9 +83,10 @@ type Spec struct {
 	Forward  float64
 	MaxDelay int
 	// Group is the multicast group ID (default 1); GroupFrac the random
-	// membership probability (default 0.3).
+	// membership probability (default 0.3; an explicit 0 leaves the root
+	// as the only member).
 	Group     int
-	GroupFrac float64
+	GroupFrac *float64
 	// Joiner is the discovery protagonist (default -1 = the highest node
 	// ID, i.e. the most recent arrival).
 	Joiner graph.NodeID
@@ -104,10 +107,10 @@ func (s Spec) deploy() string {
 }
 
 func (s Spec) channels() int {
-	if s.Channels <= 0 {
+	if s.Channels == nil {
 		return 1
 	}
-	return s.Channels
+	return *s.Channels
 }
 
 func (s Spec) group() int {
@@ -118,10 +121,10 @@ func (s Spec) group() int {
 }
 
 func (s Spec) groupFrac() float64 {
-	if s.GroupFrac <= 0 {
+	if s.GroupFrac == nil {
 		return 0.3
 	}
-	return s.GroupFrac
+	return *s.GroupFrac
 }
 
 // Script verbs.
@@ -243,7 +246,7 @@ func Parse(data []byte) (*Scenario, error) {
 	if !seen[secSpec] {
 		return nil, fmt.Errorf("scenario: missing required %q section", secSpec)
 	}
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -286,7 +289,9 @@ func (s *Scenario) parseSpec(data string) error {
 		case "protocol":
 			s.Spec.Protocol = val
 		case "channels":
-			s.Spec.Channels, err = parseInt(val)
+			var k int
+			k, err = parseInt(val)
+			s.Spec.Channels = &k
 		case "workers":
 			s.Spec.Workers, err = parseInt(val)
 		case "runtime":
@@ -304,7 +309,9 @@ func (s *Scenario) parseSpec(data string) error {
 		case "group":
 			s.Spec.Group, err = parseInt(val)
 		case "group-frac":
-			s.Spec.GroupFrac, err = strconv.ParseFloat(val, 64)
+			var f float64
+			f, err = strconv.ParseFloat(val, 64)
+			s.Spec.GroupFrac = &f
 		case "joiner":
 			s.Spec.Joiner, err = parseNodeID(val)
 		default:
@@ -373,8 +380,26 @@ func (s *Scenario) parseAsserts(data string) error {
 	return nil
 }
 
-// validate cross-checks the parsed scenario.
-func (s *Scenario) validate() error {
+// KeyError is a validation failure of one spec key or script verb. Key
+// spells it as a .dsn file does, so a front-end with its own spelling
+// (dynsim's flags) can rename it.
+type KeyError struct {
+	Key    string
+	Value  any
+	Reason string
+}
+
+// Error renders the key, its value and the reason.
+func (e *KeyError) Error() string {
+	return fmt.Sprintf("scenario: %s %v: %s", e.Key, e.Value, e.Reason)
+}
+
+// inUnit reports whether f lies in [0,1] (false for NaN).
+func inUnit(f float64) bool { return f >= 0 && f <= 1 }
+
+// Validate cross-checks the scenario. Parse and Run call it, so a spec
+// built in Go gets the same checks as a .dsn file.
+func (s *Scenario) Validate() error {
 	sp := &s.Spec
 	if sp.N <= 0 {
 		return fmt.Errorf("scenario: spec needs n > 0")
@@ -397,29 +422,32 @@ func (s *Scenario) validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown runtime %q (kernel|dist)", sp.Runtime)
 	}
-	if !(sp.LossRate >= 0 && sp.LossRate <= 1) {
-		return fmt.Errorf("scenario: loss %v out of [0,1]", sp.LossRate)
+	if sp.Channels != nil && *sp.Channels < 1 {
+		return &KeyError{"channels", *sp.Channels, "need at least 1"}
 	}
-	if !(sp.Forward >= 0 && sp.Forward <= 1) {
-		return fmt.Errorf("scenario: forward %v out of [0,1]", sp.Forward)
+	if !inUnit(sp.LossRate) {
+		return &KeyError{"loss", sp.LossRate, "out of [0,1]"}
 	}
-	if !(sp.GroupFrac >= 0 && sp.GroupFrac <= 1) {
-		return fmt.Errorf("scenario: group-frac %v out of [0,1]", sp.GroupFrac)
+	if !inUnit(sp.Forward) {
+		return &KeyError{"forward", sp.Forward, "out of [0,1]"}
+	}
+	if sp.GroupFrac != nil && !inUnit(*sp.GroupFrac) {
+		return &KeyError{"group-frac", *sp.GroupFrac, "out of [0,1]"}
 	}
 	traces := 0
 	for _, st := range s.Script {
 		switch st.Verb {
 		case VerbChurn, VerbMobility:
 			traces++
-			if st.Steps <= 0 || !(st.Frac >= 0 && st.Frac <= 1) {
+			if st.Steps <= 0 || !inUnit(st.Frac) {
 				return fmt.Errorf("scenario: %s %d %v out of range", st.Verb, st.Steps, st.Frac)
 			}
 			if sp.deploy() != "rgg" {
 				return fmt.Errorf("scenario: %s traces need deploy = rgg", st.Verb)
 			}
 		case VerbFailFrac:
-			if !(st.Frac >= 0 && st.Frac <= 1) {
-				return fmt.Errorf("scenario: failfrac %v out of [0,1]", st.Frac)
+			if !inUnit(st.Frac) {
+				return &KeyError{VerbFailFrac, st.Frac, "out of [0,1]"}
 			}
 		case VerbFail, VerbCut:
 			if st.Round <= 0 {
@@ -486,8 +514,8 @@ func (s *Scenario) Format() []byte {
 	if sp.Protocol != "" {
 		put("protocol", sp.Protocol)
 	}
-	if sp.Channels != 0 {
-		put("channels", strconv.Itoa(sp.Channels))
+	if sp.Channels != nil {
+		put("channels", strconv.Itoa(*sp.Channels))
 	}
 	if sp.Workers != 0 {
 		put("workers", strconv.Itoa(sp.Workers))
@@ -513,8 +541,8 @@ func (s *Scenario) Format() []byte {
 	if sp.Group != 0 {
 		put("group", strconv.Itoa(sp.Group))
 	}
-	if sp.GroupFrac != 0 {
-		put("group-frac", formatFloat(sp.GroupFrac))
+	if sp.GroupFrac != nil {
+		put("group-frac", formatFloat(*sp.GroupFrac))
 	}
 	if sp.Joiner != -1 {
 		put("joiner", strconv.Itoa(int(sp.Joiner)))

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -156,6 +157,66 @@ func TestParseRejectsInvalidSpecs(t *testing.T) {
 		if _, err := Parse([]byte(body)); err == nil {
 			t.Errorf("%s: Parse accepted invalid scenario", name)
 		}
+	}
+}
+
+// TestSpecKeyErrors pins the coercion fixes: out-of-range explicit values
+// fail with a KeyError naming the .dsn key instead of running as a
+// default, for files and for specs built in Go alike.
+func TestSpecKeyErrors(t *testing.T) {
+	for _, tc := range []struct{ body, key string }{
+		{"channels = 0\n", "channels"},
+		{"channels = -3\n", "channels"},
+		{"group-frac = -0.5\n", "group-frac"},
+		{"group-frac = 1.5\n", "group-frac"},
+		{"loss = 2\n", "loss"},
+		{"forward = -1\n", "forward"},
+		{"-- script --\nfailfrac 1.1\n", "failfrac"},
+	} {
+		_, err := Parse([]byte("-- spec --\nn = 4\nside = 8\n" + tc.body))
+		var ke *KeyError
+		if !errors.As(err, &ke) || ke.Key != tc.key || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%q: error %v, want a KeyError naming %s", tc.body, err, tc.key)
+		}
+	}
+	k := 0
+	s := &Scenario{Spec: Spec{N: 4, Side: 8, Channels: &k, Joiner: -1}}
+	var ke *KeyError
+	if _, err := Run(s, RunOptions{}); !errors.As(err, &ke) || ke.Key != "channels" {
+		t.Fatalf("Run of a Go-built spec with channels 0: error %v, want a KeyError", err)
+	}
+}
+
+// TestGroupFracExplicitZero pins group-frac = 0 as "no random members":
+// the group is the root alone, while an absent key keeps the 0.3 default.
+func TestGroupFracExplicitZero(t *testing.T) {
+	const body = "-- spec --\nn = 40\nside = 8\nseed = 1\nprotocol = multicast\ngroup-frac = 0\n"
+	s, err := Parse([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Spec.groupFrac(); got != 0 {
+		t.Fatalf("explicit group-frac = 0 read as %v", got)
+	}
+	if got := string(s.Format()); got != body {
+		t.Fatalf("explicit zero did not round-trip:\n%s", got)
+	}
+	res, err := Run(s, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Measured.Audience != 1 {
+		t.Fatalf("group-frac = 0 gave %d members, want the root alone", res.Measured.Audience)
+	}
+	s, err = Parse([]byte(strings.Replace(body, "group-frac = 0\n", "", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = Run(s, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if res.Measured.Audience <= 1 {
+		t.Fatalf("default group-frac gave %d members", res.Measured.Audience)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/cnet"
+	"dynsens/internal/radio"
 	"dynsens/internal/timeslot"
 	"dynsens/internal/trace"
 	"dynsens/internal/workload"
@@ -53,10 +54,10 @@ func TestTimelineGolden(t *testing.T) {
 	}
 	a := timeslot.New(c, timeslot.ConditionStrict)
 
-	rec := trace.NewRecorder(0)
+	var events []radio.Event
 	var victim = c.Tree().Nodes()[len(c.Tree().Nodes())-1]
 	_, err = broadcast.RunICFF(a, c.Root(), broadcast.Options{
-		TraceBatch: rec.BatchHook(),
+		TraceBatch: func(evs []radio.Event) { events = append(events, evs...) },
 		Failures:   []broadcast.NodeFailure{{Node: victim, Round: 2}},
 		LossRate:   0.15,
 		LossSeed:   7,
@@ -64,18 +65,19 @@ func TestTimelineGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
+	if len(events) == 0 {
 		t.Fatal("no events recorded")
 	}
 
 	var buf bytes.Buffer
-	if err := rec.Render(&buf); err != nil {
+	if err := trace.RenderEvents(&buf, events, 0); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "timeline.golden", buf.Bytes())
 }
 
-// TestTimelineDroppedGolden locks down the truncation footer.
+// TestTimelineDroppedGolden locks down the truncation footer: the first ten
+// events of a run, with the rest counted as dropped.
 func TestTimelineDroppedGolden(t *testing.T) {
 	d, err := workload.IncrementalConnected(workload.PaperConfig(3, 8, 20))
 	if err != nil {
@@ -87,15 +89,17 @@ func TestTimelineDroppedGolden(t *testing.T) {
 	}
 	a := timeslot.New(c, timeslot.ConditionStrict)
 
-	rec := trace.NewRecorder(10)
-	if _, err := broadcast.RunICFF(a, c.Root(), broadcast.Options{TraceBatch: rec.BatchHook()}); err != nil {
+	var events []radio.Event
+	hook := func(evs []radio.Event) { events = append(events, evs...) }
+	if _, err := broadcast.RunICFF(a, c.Root(), broadcast.Options{TraceBatch: hook}); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Dropped() == 0 {
-		t.Fatal("limit did not drop anything")
+	const limit = 10
+	if len(events) <= limit {
+		t.Fatal("run too short to truncate")
 	}
 	var buf bytes.Buffer
-	if err := rec.Render(&buf); err != nil {
+	if err := trace.RenderEvents(&buf, events[:limit], len(events)-limit); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "timeline_dropped.golden", buf.Bytes())

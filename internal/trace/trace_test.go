@@ -6,11 +6,13 @@ import (
 
 	"dynsens/internal/broadcast"
 	"dynsens/internal/core"
-	"dynsens/internal/obs"
 	"dynsens/internal/radio"
 	"dynsens/internal/workload"
 )
 
+// TestRecorderCollectsBroadcast records a live ICFF run with a
+// slice-appending TraceBatch hook and renders it: every transmission the
+// metrics count appears as an event, within the run's rounds.
 func TestRecorderCollectsBroadcast(t *testing.T) {
 	d, err := workload.IncrementalConnected(workload.PaperConfig(1, 8, 50))
 	if err != nil {
@@ -20,114 +22,51 @@ func TestRecorderCollectsBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(0)
-	m, err := net.Broadcast(net.Root(), broadcast.Options{TraceBatch: rec.BatchHook()})
+	var events []radio.Event
+	m, err := net.Broadcast(net.Root(), broadcast.Options{
+		TraceBatch: func(evs []radio.Event) { events = append(events, evs...) },
+	})
 	if err != nil || !m.Completed {
 		t.Fatalf("broadcast: %v %s", err, m)
 	}
-	counts := rec.Counts()
-	if counts[radio.EvTransmit] != m.Transmissions {
-		t.Fatalf("tx events %d != metric %d", counts[radio.EvTransmit], m.Transmissions)
+	tx, rx, last := 0, 0, 0
+	for _, ev := range events {
+		switch ev.Kind {
+		case radio.EvTransmit:
+			tx++
+		case radio.EvDeliver:
+			rx++
+		}
+		last = max(last, ev.Round)
 	}
-	if counts[radio.EvDeliver] == 0 {
+	if tx != m.Transmissions {
+		t.Fatalf("tx events %d != metric %d", tx, m.Transmissions)
+	}
+	if rx == 0 {
 		t.Fatal("no delivery events recorded")
 	}
-	if rec.LastRound() == 0 || rec.LastRound() > m.Rounds {
-		t.Fatalf("last round %d vs %d", rec.LastRound(), m.Rounds)
+	if last == 0 || last > m.Rounds {
+		t.Fatalf("last round %d vs %d", last, m.Rounds)
 	}
 	var b strings.Builder
-	if err := rec.Render(&b); err != nil {
+	if err := RenderEvents(&b, events, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	if !strings.Contains(out, "round 1:") || !strings.Contains(out, "tx") {
 		t.Fatalf("render malformed:\n%s", out[:min(400, len(out))])
 	}
-	if rec.Summary() == "" {
-		t.Fatal("empty summary")
-	}
-}
-
-func TestRecorderLimitAndReset(t *testing.T) {
-	rec := NewRecorder(2)
-	hook := rec.BatchHook()
-	for i := 0; i < 5; i++ {
-		hook([]radio.Event{{Round: i + 1, Kind: radio.EvTransmit}})
-	}
-	if rec.Len() != 2 || rec.Dropped() != 3 {
-		t.Fatalf("len=%d dropped=%d", rec.Len(), rec.Dropped())
-	}
-	var b strings.Builder
-	if err := rec.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "dropped") {
-		t.Fatal("dropped note missing")
-	}
-	rec.Reset()
-	if rec.Len() != 0 || rec.Dropped() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
-// TestRecorderBatchStraddlesLimit feeds one batch that crosses the limit:
-// the recorder keeps its head, counts its tail as dropped, and drops every
-// later batch whole.
-func TestRecorderBatchStraddlesLimit(t *testing.T) {
-	rec := NewRecorder(5)
-	reg := obs.NewRegistry()
-	rec.Instrument(reg)
-	hook := rec.BatchHook()
-	batch := make([]radio.Event, 4)
-	for i := range batch {
-		batch[i] = radio.Event{Seq: uint64(i + 1), Round: 1, Kind: radio.EvTransmit}
-	}
-	hook(batch[:3])
-	hook(batch) // 2 fit, 2 past the limit
-	if rec.Len() != 5 || rec.Dropped() != 2 {
-		t.Fatalf("after straddling batch: len=%d dropped=%d, want 5 and 2", rec.Len(), rec.Dropped())
-	}
-	if got := rec.Events()[4].Seq; got != 2 {
-		t.Fatalf("last kept event has Seq %d, want 2 (the batch's head)", got)
-	}
-	hook(batch[:3])
-	if rec.Len() != 5 || rec.Dropped() != 5 {
-		t.Fatalf("after full: len=%d dropped=%d, want 5 and 5", rec.Len(), rec.Dropped())
-	}
-	if v, _ := reg.Snapshot().CounterValue(MetricTraceEventsDropped); v != 5 {
-		t.Fatalf("dropped counter = %d, want 5", v)
-	}
-	batch[0].Seq = 99 // the engine reuses its buffer; kept events are copies
-	if rec.Events()[0].Seq != 1 {
-		t.Fatal("recorder aliases the caller's batch")
-	}
-}
-
-func TestChannelLoad(t *testing.T) {
-	rec := NewRecorder(0)
-	rec.BatchHook()([]radio.Event{
-		{Round: 1, Kind: radio.EvTransmit, Channel: 0},
-		{Round: 1, Kind: radio.EvTransmit, Channel: 1},
-		{Round: 2, Kind: radio.EvTransmit, Channel: 1},
-		{Round: 2, Kind: radio.EvDeliver, Channel: 1},
-	})
-	load := rec.ChannelLoad()
-	if load[0] != 1 || load[1] != 2 {
-		t.Fatalf("load = %v", load)
-	}
 }
 
 func TestRenderAllKinds(t *testing.T) {
-	rec := NewRecorder(0)
-	rec.BatchHook()([]radio.Event{
+	var b strings.Builder
+	if err := RenderEvents(&b, []radio.Event{
 		{Round: 1, Kind: radio.EvTransmit, Node: 1},
 		{Round: 1, Kind: radio.EvDeliver, Node: 2, Peer: 1},
 		{Round: 2, Kind: radio.EvCollision, Node: 3},
 		{Round: 2, Kind: radio.EvNodeFail, Node: 4},
 		{Round: 3, Kind: radio.EvLinkFail, Node: 5, Peer: 6},
-	})
-	var b strings.Builder
-	if err := rec.Render(&b); err != nil {
+	}, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -145,11 +84,4 @@ func TestKindName(t *testing.T) {
 	if KindName(radio.EventKind(99)) == "" {
 		t.Fatal("unknown kind should format")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

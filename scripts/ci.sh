@@ -115,6 +115,19 @@ if "$replay_dir/nettool" scenario run testdata/scenarios/negative/violated-round
     exit 1
 fi
 echo "scenario record/verify round-trip OK, negative fixture fails as expected"
+# dynsim -scenario shares flag mode's output sinks: its JSONL event stream
+# must hold exactly the events its recording holds, as in the replay smoke.
+go build -o "$replay_dir/dynsim" ./cmd/dynsim
+"$replay_dir/dynsim" -scenario testdata/scenarios/positive/sparse-rgg-icff.dsn \
+    -record "$replay_dir/dynsim_scenario.dsfr" -events "$replay_dir/dynsim_scenario.jsonl" > /dev/null
+"$replay_dir/nettool" replay "$replay_dir/dynsim_scenario.dsfr" > "$replay_dir/dynsim_scenario.txt"
+recorded=$(sed -n 's/^contents:.*, \([0-9][0-9]*\) events$/\1/p' "$replay_dir/dynsim_scenario.txt")
+jsonl=$(wc -l < "$replay_dir/dynsim_scenario.jsonl" | tr -d " ")
+if [ -z "$recorded" ] || [ "$recorded" -ne "$jsonl" ]; then
+    echo "scenario smoke: recording has ${recorded:-no} events, JSONL has $jsonl lines" >&2
+    exit 1
+fi
+echo "dynsim -scenario events match its recording ($jsonl events)"
 
 echo "== dist runtime smoke"
 # The distributed actor runtime must reproduce the kernel byte for byte
@@ -122,7 +135,6 @@ echo "== dist runtime smoke"
 # under all three transports — in-process kernel, goroutine fleet, and one
 # OS process per node via dnode — and require identical .dsfr recordings,
 # then replay-verify the distributed recording offline like any other.
-go build -o "$replay_dir/dynsim" ./cmd/dynsim
 go build -o "$replay_dir/dnode" ./cmd/dnode
 dist_dsn=testdata/scenarios/positive/dist-runtime-icff.dsn
 "$replay_dir/dynsim" -scenario "$dist_dsn" -runtime kernel \
